@@ -725,12 +725,13 @@ let csv () =
 (* tracked PR-over-PR.  Runs are timed sequentially on one domain for  *)
 (* stable numbers; --repeat N reports the median of N runs.            *)
 (*                                                                     *)
-(* Three timed paths per cell: "fast" (block-batched replay with       *)
+(* Four timed paths per cell: "fast" (block-batched replay with        *)
 (* steady-state fast-forward off — comparable with the committed       *)
 (* baselines, which predate fast-forward), "fastforward" (the          *)
-(* default production path), and optionally "reference".  The          *)
-(* loop-dominated Mibench variants ride along so the fast-forward      *)
-(* speedup is tracked where it matters.                                *)
+(* default production path), "probed" (Runner.run_timeline at the     *)
+(* default window: the batched loop with a sampler attached), and      *)
+(* optionally "reference".  The loop-dominated Mibench variants ride   *)
+(* along so the fast-forward speedup is tracked where it matters.      *)
 
 let perf_json = ref None
 let perf_repeat = ref 3
@@ -758,19 +759,20 @@ let median xs =
 type perf_row = {
   pr_benchmark : string;
   pr_scheme : string;
-  pr_path : string;  (** "fast", "fastforward" or "reference" *)
+  pr_path : string;  (** "fast", "fastforward", "probed" or "reference" *)
   pr_instrs : int;
   pr_wall_s : float;
   pr_wall_min_s : float;
       (** fastest of the repeats — a noise-robust floor estimate *)
   pr_pair_ratio_min : float;
-      (** fast-forward rows: minimum over the interleaved sample pairs
-          of (fastforward wall / fast wall).  On a shared 1-core host,
-          steal-time bursts dwarf a few-percent systematic difference
-          even in per-path minima; pairing cancels the drift (both
-          samples of a pair run back-to-back) and the minimum keeps
-          one clean pair sufficient to prove the absence of overhead —
-          a real slowdown shows in {e every} pair.  1.0 on other rows *)
+      (** fast-forward and probed rows: minimum over the interleaved
+          sample pairs of (this path's wall / fast wall).  On a shared
+          1-core host, steal-time bursts dwarf a few-percent systematic
+          difference even in per-path minima; pairing cancels the drift
+          (both samples of a pair run back-to-back) and the minimum
+          keeps one clean pair sufficient to prove the absence of
+          overhead — a real slowdown shows in {e every} pair.  1.0 on
+          other rows *)
   pr_ff_skipped_frac : float;
       (** dynamic instructions fast-forwarded / retired; 0 on the
           non-fast-forward paths *)
@@ -815,15 +817,15 @@ let perf_rows () =
               pr_cache_inserts = 0;
             }
           in
-          (* The fast and fast-forward samples are interleaved
-             (fast, ff, fast, ff, ...) so that host load drifting over
-             the measurement window lands on both paths symmetrically —
-             back-to-back blocks of one path would hand whichever ran
-             during the quieter seconds a fake advantage.  Each ff
-             sample gets a fresh report and snapshot cache, so the
-             engagement columns describe one run (cross-region reuse
+          (* The fast, fast-forward and probed samples are interleaved
+             (fast, ff, probed, fast, ff, probed, ...) so that host load
+             drifting over the measurement window lands on every path
+             symmetrically — back-to-back blocks of one path would hand
+             whichever ran during the quieter seconds a fake advantage.
+             Each ff sample gets a fresh report and snapshot cache, so
+             the engagement columns describe one run (cross-region reuse
              within it), not an accumulation across repeats. *)
-          let pairs =
+          let triples =
             List.init repeat (fun _ ->
                 let fast_sample =
                   time_run (fun () ->
@@ -836,44 +838,47 @@ let perf_rows () =
                       Runner.run_scheme ~fastforward:true ~ff_report:report
                         ~snapshot_cache:cache prepared config)
                 in
-                (fast_sample, (wall, stats, report)))
+                let probed_sample =
+                  time_run (fun () ->
+                      fst (Runner.run_timeline prepared config))
+                in
+                (fast_sample, (wall, stats, report), probed_sample))
           in
-          let fast =
-            let samples = List.map fst pairs in
-            let _, stats = List.hd samples in
+          let fast_walls = List.map (fun ((w, _), _, _) -> w) triples in
+          (* minimum over the interleaved samples of (path / fast) *)
+          let paired_min walls =
+            List.fold_left min infinity
+              (List.map2
+                 (fun fw w -> if fw > 0.0 then w /. fw else 1.0)
+                 fast_walls walls)
+          in
+          let timed_row pr_path walls (stats : Stats.t) =
             {
               pr_benchmark = name;
               pr_scheme = Config.scheme_name scheme;
-              pr_path = "fast";
+              pr_path;
               pr_instrs = stats.Stats.retired_instrs;
-              pr_wall_s = median (List.map fst samples);
-              pr_wall_min_s =
-                List.fold_left min infinity (List.map fst samples);
-              pr_pair_ratio_min = 1.0;
+              pr_wall_s = median walls;
+              pr_wall_min_s = List.fold_left min infinity walls;
+              pr_pair_ratio_min = paired_min walls;
               pr_ff_skipped_frac = 0.0;
               pr_cache_hits = 0;
               pr_cache_inserts = 0;
             }
           in
+          let fast =
+            let (_, stats), _, _ = List.hd triples in
+            timed_row "fast" fast_walls stats
+          in
           let fastforward =
-            let samples = List.map snd pairs in
+            let samples = List.map (fun (_, ff, _) -> ff) triples in
             let _, stats, report = List.hd samples in
             let retired = stats.Stats.retired_instrs in
             {
-              pr_benchmark = name;
-              pr_scheme = Config.scheme_name scheme;
-              pr_path = "fastforward";
-              pr_instrs = retired;
-              pr_wall_s = median (List.map (fun (w, _, _) -> w) samples);
-              pr_wall_min_s =
-                List.fold_left min infinity
-                  (List.map (fun (w, _, _) -> w) samples);
-              pr_pair_ratio_min =
-                List.fold_left min infinity
-                  (List.map
-                     (fun ((fw, _), (w, _, _)) ->
-                       if fw > 0.0 then w /. fw else 1.0)
-                     pairs);
+              (timed_row "fastforward"
+                 (List.map (fun (w, _, _) -> w) samples)
+                 stats)
+              with
               pr_ff_skipped_frac =
                 (if retired > 0 then
                    float_of_int
@@ -885,7 +890,11 @@ let perf_rows () =
                 report.Wayplace.Sim.Steady_state.cache_inserts;
             }
           in
-          let rows = [ fast; fastforward ] in
+          let probed =
+            let samples = List.map (fun (_, _, p) -> p) triples in
+            timed_row "probed" (List.map fst samples) (snd (List.hd samples))
+          in
+          let rows = [ fast; fastforward; probed ] in
           if not !perf_reference then rows
           else
             rows
@@ -931,24 +940,23 @@ let write_perf_json path rows =
       Printf.fprintf oc "  ]\n}\n");
   Printf.printf "  wrote %s\n%!" path
 
-(* Hard overhead gate: on patternless (non-loop) benchmarks the
-   fast-forward machinery must be within noise of the plain fast path.
-   The estimator is the paired ratio: samples are interleaved
-   (fast, ff) back-to-back, so each pair's ff/fast ratio cancels host
-   load drift, and the minimum ratio over a scheme's pairs makes one
-   clean pair sufficient — a real systematic overhead is present in
-   every pair, while scheduler steal-bursts on a shared 1-core runner
-   inflate only some.  Per benchmark the scheme ratios are averaged
-   weighted by the fast path's minimum wall; any benchmark over the
-   5% line fails the run. *)
-let ff_overhead_gate rows =
-  let non_loop =
-    List.filter
-      (fun r -> not (List.mem r.pr_benchmark Mibench.loop_names))
-      rows
-  in
+(* Hard overhead gates.  The estimator is the paired ratio: samples are
+   interleaved (fast, ff, probed) back-to-back, so each pair's path/fast
+   ratio cancels host load drift, and the minimum ratio over a scheme's
+   pairs makes one clean pair sufficient — a real systematic overhead is
+   present in every pair, while scheduler steal-bursts on a shared
+   1-core runner inflate only some.  Per benchmark the scheme ratios are
+   averaged weighted by the fast path's minimum wall; a benchmark over
+   the limit fails the run.
+
+   - fast-forward: on patternless (non-loop) benchmarks the
+     fast-forward machinery must be within 5% of the plain fast path;
+   - probed: on crc, susan_c and crc_loop a sampled run (the batched
+     loop with a sampler attached) must be within 1.5x of it. *)
+let overhead_gate ~path ~limit ~applies rows =
+  let gated = List.filter (fun r -> applies r.pr_benchmark) rows in
   let benchmarks =
-    List.sort_uniq compare (List.map (fun r -> r.pr_benchmark) non_loop)
+    List.sort_uniq compare (List.map (fun r -> r.pr_benchmark) gated)
   in
   let overhead_of bench =
     (* weight each scheme's pair-min ratio by its fast minimum wall *)
@@ -957,36 +965,40 @@ let ff_overhead_gate rows =
       (fun r ->
         if r.pr_benchmark = bench && r.pr_path = "fast" then
           Hashtbl.replace wall r.pr_scheme r.pr_wall_min_s)
-      non_loop;
+      gated;
     let num = ref 0.0 and den = ref 0.0 in
     List.iter
       (fun r ->
-        if r.pr_benchmark = bench && r.pr_path = "fastforward" then
+        if r.pr_benchmark = bench && r.pr_path = path then
           match Hashtbl.find_opt wall r.pr_scheme with
           | Some w when w > 0.0 ->
               num := !num +. (w *. r.pr_pair_ratio_min);
               den := !den +. w
           | Some _ | None -> ())
-      non_loop;
+      gated;
     if !den > 0.0 then Some (!num /. !den) else None
   in
   let violations =
     List.filter_map
       (fun bench ->
         match overhead_of bench with
-        | Some ratio when ratio > 1.05 -> Some (bench, ratio)
-        | Some _ | None -> None)
+        | Some ratio ->
+            Printf.printf "%s gate %s: %.3fx the fast path (limit %.2fx)\n"
+              path bench ratio limit;
+            if ratio > limit then Some (bench, ratio) else None
+        | None -> None)
       benchmarks
   in
   List.iter
     (fun (bench, ratio) ->
       Printf.printf
-        "::error::fast-forward overhead gate: %s: fastforward %.1f%% slower \
-         than the plain fast path in every interleaved pair\n"
-        bench
-        (100.0 *. (ratio -. 1.0)))
+        "::error::%s overhead gate: %s: %s %.2fx the plain fast path in \
+         every interleaved pair (limit %.2fx)\n"
+        path bench path ratio limit)
     violations;
   violations = []
+
+let probed_gate_benchmarks = [ "crc"; "susan_c"; "crc_loop" ]
 
 let perf () =
   header
@@ -1018,8 +1030,10 @@ let perf () =
   let is_loop r = List.mem r.pr_benchmark Mibench.loop_names in
   ignore (aggregate "suite" (fun r -> not (is_loop r)) "fast");
   ignore (aggregate "suite" (fun r -> not (is_loop r)) "fastforward");
+  ignore (aggregate "suite" (fun r -> not (is_loop r)) "probed");
   let loops_off = aggregate "loops" is_loop "fast" in
   let loops_on = aggregate "loops" is_loop "fastforward" in
+  ignore (aggregate "loops" is_loop "probed");
   (match (loops_off, loops_on) with
   | Some off, Some on when off > 0.0 ->
       Printf.printf
@@ -1027,7 +1041,17 @@ let perf () =
         (on /. off)
   | _ -> ());
   (match !perf_json with None -> () | Some path -> write_perf_json path rows);
-  let gate_ok = ff_overhead_gate rows in
+  let ff_ok =
+    overhead_gate ~path:"fastforward" ~limit:1.05
+      ~applies:(fun b -> not (List.mem b Mibench.loop_names))
+      rows
+  in
+  let probed_ok =
+    overhead_gate ~path:"probed" ~limit:1.5
+      ~applies:(fun b -> List.mem b probed_gate_benchmarks)
+      rows
+  in
+  let gate_ok = ff_ok && probed_ok in
   Printf.printf "%!";
   if not gate_ok then exit 1
 
@@ -1063,7 +1087,11 @@ let perf_compare baseline_path new_path =
   List.iter
     (fun (key, new_ips) ->
       match List.assoc_opt key baseline with
-      | None -> ()
+      | None ->
+          (* a path or cell the baseline predates: report, don't judge *)
+          let b, s, p = key in
+          Printf.printf "new %s x %s (%s): %.3g instrs/sec (no baseline row)\n"
+            b s p new_ips
       | Some old_ips when old_ips <= 0.0 -> ()
       | Some old_ips ->
           incr compared;

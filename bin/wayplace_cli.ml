@@ -476,7 +476,7 @@ let fuzz_cmd seed count jobs quiet =
         1
   end
 
-(* --- timeline: one probed run, windowed by the sampler --- *)
+(* --- timeline: one sampled run, windowed by the sampler --- *)
 
 module Sampler = Wayplace.Obs.Sampler
 

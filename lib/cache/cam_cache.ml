@@ -17,7 +17,7 @@ type t = {
       (** valid lines per set — lets a fill skip the invalid-way scan
           once the set is full (the steady state). *)
   mutable clock : int;
-  probe : Wp_obs.Probe.t option;
+  sink : Wp_obs.Sink.t;
 }
 
 type outcome = {
@@ -30,7 +30,7 @@ type outcome = {
 type fill_policy = Victim_by_policy | Forced_way of int
 type eviction = { set : int; way : int; tag : int }
 
-let create ?probe geometry ~replacement =
+let create ?probe ?sampler geometry ~replacement =
   let n = Geometry.sets geometry * geometry.Geometry.assoc in
   {
     geometry;
@@ -42,8 +42,16 @@ let create ?probe geometry ~replacement =
     mru = Array.make (Geometry.sets geometry) (-1);
     nvalid = Array.make (Geometry.sets geometry) 0;
     clock = 0;
-    probe;
+    sink = Wp_obs.Sink.make ?probe ?sampler ();
   }
+
+(* One CAM search precharging [ways] comparators, reported as an event
+   or counted into a sampler directly. *)
+let note_search t ~ways =
+  match t.sink with
+  | Wp_obs.Sink.Quiet -> ()
+  | Events p -> p (Wp_obs.Probe.Tag_search { ways })
+  | Tally s -> Wp_obs.Sampler.tag_search s ~ways
 
 let geometry t = t.geometry
 let index t ~set ~way = (set * t.geometry.Geometry.assoc) + way
@@ -78,9 +86,7 @@ let lookup_full t addr =
   let set = Geometry.set_index t.geometry addr in
   let tag = Geometry.tag_of t.geometry addr in
   let assoc = t.geometry.Geometry.assoc in
-  (match t.probe with
-  | None -> ()
-  | Some p -> p (Wp_obs.Probe.Tag_search { ways = assoc }));
+  note_search t ~ways:assoc;
   match find_way t ~set ~tag with
   | -1 -> { hit = false; way = -1; tag_comparisons = assoc; ways_precharged = assoc }
   | way ->
@@ -95,9 +101,7 @@ let lookup_full t addr =
 let lookup_full_way t addr =
   let set = Geometry.set_index t.geometry addr in
   let tag = Geometry.tag_of t.geometry addr in
-  (match t.probe with
-  | None -> ()
-  | Some p -> p (Wp_obs.Probe.Tag_search { ways = t.geometry.Geometry.assoc }));
+  note_search t ~ways:t.geometry.Geometry.assoc;
   match find_way t ~set ~tag with
   | -1 -> -1
   | way ->
@@ -111,9 +115,7 @@ let lookup_way t addr ~way =
     invalid_arg (Printf.sprintf "Cam_cache.lookup_way: way %d of %d" way assoc);
   let set = Geometry.set_index t.geometry addr in
   let tag = Geometry.tag_of t.geometry addr in
-  (match t.probe with
-  | None -> ()
-  | Some p -> p (Wp_obs.Probe.Tag_search { ways = 1 }));
+  note_search t ~ways:1;
   let i = index t ~set ~way in
   if t.tags.(i) = tag then begin
     t.mru.(set) <- way;
@@ -130,9 +132,7 @@ let lookup_way_hit t addr ~way =
     invalid_arg (Printf.sprintf "Cam_cache.lookup_way_hit: way %d of %d" way assoc);
   let set = Geometry.set_index t.geometry addr in
   let tag = Geometry.tag_of t.geometry addr in
-  (match t.probe with
-  | None -> ()
-  | Some p -> p (Wp_obs.Probe.Tag_search { ways = 1 }));
+  note_search t ~ways:1;
   let i = index t ~set ~way in
   if t.tags.(i) = tag then begin
     t.mru.(set) <- way;
@@ -188,9 +188,12 @@ let install t ~set ~tag policy =
   t.valid.(i) <- true;
   t.mru.(set) <- way;
   touch t ~set ~way;
-  (match t.probe with
-  | None -> ()
-  | Some p -> p (Wp_obs.Probe.Line_fill { evicted = Option.is_some evicted }));
+  (match t.sink with
+  | Wp_obs.Sink.Quiet -> ()
+  | Events p -> p (Wp_obs.Probe.Line_fill { evicted = Option.is_some evicted })
+  | Tally s ->
+      Wp_obs.Sampler.count s Line_fills 1;
+      if Option.is_some evicted then Wp_obs.Sampler.count s Evictions 1);
   (way, evicted)
 
 let fill t addr policy =
@@ -228,11 +231,11 @@ let lookup_line_run_way t addr ~n =
   let set = Geometry.set_index t.geometry addr in
   let tag = Geometry.tag_of t.geometry addr in
   let assoc = t.geometry.Geometry.assoc in
-  (match t.probe with
-  | None -> ()
-  | Some p ->
+  (match t.sink with
+  | Wp_obs.Sink.Quiet -> ()
+  | Events _ | Tally _ ->
       for _ = 1 to n do
-        p (Wp_obs.Probe.Tag_search { ways = assoc })
+        note_search t ~ways:assoc
       done);
   match find_way t ~set ~tag with
   | -1 -> invalid_arg "Cam_cache.lookup_line_run: line not resident"

@@ -27,10 +27,16 @@ type fill_policy =
 type eviction = { set : int; way : int; tag : int }
 (** A valid line that was overwritten by a fill. *)
 
-val create : ?probe:Wp_obs.Probe.t -> Geometry.t -> replacement:Replacement.t -> t
+val create :
+  ?probe:Wp_obs.Probe.t ->
+  ?sampler:Wp_obs.Sampler.t ->
+  Geometry.t ->
+  replacement:Replacement.t ->
+  t
 (** [probe] observes every CAM search ([Tag_search], with the number of
-    ways precharged) and line fill ([Line_fill]); pure observation,
-    never affects behaviour. *)
+    ways precharged) and line fill ([Line_fill]); [sampler] has them
+    counted into it directly ({!Wp_obs.Sink}).  Pure observation, never
+    affects behaviour; at most one of the two may be given. *)
 
 val geometry : t -> Geometry.t
 

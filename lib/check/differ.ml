@@ -403,6 +403,144 @@ let check_probe ~where prepared (config : Config.t) (s : Stats.t) =
         Wp_obs.Probe.buckets;
       !v
 
+(* Window identity: the sampled fast path is fed direct counts, batches
+   runs and steps only the runs that could reach a window boundary, yet
+   it must build exactly the windows a sampler attached as a plain
+   probe to the per-instruction reference loop builds — every field,
+   energy bit for bit — and leave the statistics unchanged.  Window
+   sizes 1 and 7 put a boundary in nearly every block (so stepping,
+   boundaries inside same-line runs, on missing run heads and across
+   mispredict penalties all occur); 1024 is a realistic window.
+   Way-placement cells also run a generated resize schedule that
+   resizes at block 0, at two interior blocks and at the last block. *)
+
+let window_sizes = [ 1; 7; 1024 ]
+
+let generated_schedule ~seed (trace : Tracer.trace) =
+  let n = Array.length trace.Tracer.blocks in
+  let rng = Random.State.make [| seed; 0x5ced |] in
+  let interior () = Random.State.int rng (max 1 n) in
+  List.sort_uniq compare [ 0; interior (); interior (); max 0 (n - 1) ]
+  |> List.map (fun at -> (at, 1024 * (1 + Random.State.int rng 4)))
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* The first field on which two windows differ, if any. *)
+let window_mismatch (a : Sampler.window) (b : Sampler.window) =
+  if a.Sampler.index <> b.Sampler.index then Some "index"
+  else if a.Sampler.start_cycle <> b.Sampler.start_cycle then
+    Some "start_cycle"
+  else if a.Sampler.end_cycle <> b.Sampler.end_cycle then Some "end_cycle"
+  else if a.Sampler.retired <> b.Sampler.retired then Some "retired"
+  else if a.Sampler.counters <> b.Sampler.counters then Some "counters"
+  else if not (same_bits a.Sampler.energy_pj b.Sampler.energy_pj) then
+    Some "energy_pj"
+  else if not (same_bits a.Sampler.cum_energy_pj b.Sampler.cum_energy_pj)
+  then Some "cum_energy_pj"
+  else if a.Sampler.ways_hist <> b.Sampler.ways_hist then Some "ways_hist"
+  else if a.Sampler.markers <> b.Sampler.markers then Some "markers"
+  else None
+
+let compare_windows ~fast ~reference =
+  let nf = List.length fast and nr = List.length reference in
+  if nf <> nr then
+    [ Printf.sprintf "fast path built %d windows, reference loop %d" nf nr ]
+  else
+    match
+      List.find_map
+        (fun ((f : Sampler.window), r) ->
+          Option.map
+            (fun field -> (f.Sampler.index, field))
+            (window_mismatch f r))
+        (List.combine fast reference)
+    with
+    | None -> []
+    | Some (i, field) ->
+        [
+          Printf.sprintf "window %d: %s differs between fast path and reference"
+            i field;
+        ]
+
+(* The same machine with a one-cycle memory, free table walks and a
+   large mispredict penalty: the worst-case block bound then has little
+   slack, so blocks are batched right up to the boundaries and the
+   batch-or-step decision is exercised where it is closest to wrong. *)
+let tight_latencies (config : Config.t) =
+  {
+    config with
+    memory_latency = 1;
+    tlb_walk_latency = 0;
+    mispredict_penalty = 24;
+  }
+
+let check_windows ~where ~seed ?stats prepared (config : Config.t) =
+  let trace = prepared.Runner.trace_large in
+  let compiled = Runner.compiled_for prepared config in
+  let schedules =
+    ("", [])
+    ::
+    (match config.Config.scheme with
+    | Config.Way_placement _ ->
+        [ (" resized", generated_schedule ~seed trace) ]
+    | Config.Baseline | Config.Way_memoization | Config.Way_prediction
+    | Config.Filter_cache _ ->
+        [])
+  in
+  List.concat_map
+    (fun (tag, schedule) ->
+      List.concat_map
+        (fun window_cycles ->
+          let where =
+            Printf.sprintf "%s windows/%d%s" where window_cycles tag
+          in
+          (* The reference side attaches the sampler as a plain probe,
+             so its windows are built from one event per access — the
+             definition the fast path's direct counts must match. *)
+          let run ~reference =
+            let sampler = Sampler.create ~window_cycles () in
+            let stats =
+              if reference then
+                Wp_sim.Simulator.run_compiled ~probe:(Sampler.probe sampler)
+                  ~schedule ~config ~trace compiled
+              else
+                Wp_sim.Simulator.run_compiled ~sampler ~schedule ~config
+                  ~trace compiled
+            in
+            (stats, Sampler.finish sampler)
+          in
+          match (run ~reference:false, run ~reference:true) with
+          | exception exn ->
+              [
+                Printf.sprintf "%s: sampled run raised: %s" where
+                  (Printexc.to_string exn);
+              ]
+          | (fast, fast_windows), (reference, reference_windows) ->
+              let fail msg = where ^ ": " ^ msg in
+              (if Stats.equal fast reference then []
+               else
+                 [
+                   fail
+                     ("sampled fast path diverges from sampled reference: "
+                     ^ Format.asprintf "%a" Stats.pp_diff (fast, reference));
+                 ])
+              @ (match stats with
+                | Some s when schedule = [] && not (Stats.equal s fast) ->
+                    [
+                      fail
+                        ("sampler changed the fast path's stats: "
+                        ^ Format.asprintf "%a" Stats.pp_diff (s, fast));
+                    ]
+                | Some _ | None -> [])
+              @ List.map fail
+                  (compare_windows ~fast:fast_windows
+                     ~reference:reference_windows))
+        window_sizes)
+    schedules
+
 (* The tentpole invariant of the block-batched fast path: for every
    cell of the grid, the replays must produce exactly equal
    statistics — every counter and every energy bucket bit-for-bit
@@ -418,7 +556,7 @@ let check_probe ~where prepared (config : Config.t) (s : Stats.t) =
    entries published by earlier ones, which is exactly the cross-run
    reuse the serve daemon and sweep engine perform.  Scoped keys make
    cross-world hits impossible — that, too, is under test here. *)
-let fastpath_cache = lazy (Wp_sim.Snapshot_cache.create ())
+let fastpath_cache = Wp_sim.Snapshot_cache.create ()
 
 let check_fastpath ~where prepared (config : Config.t) (fast : Stats.t) =
   let trace = prepared.Runner.trace_large in
@@ -426,7 +564,7 @@ let check_fastpath ~where prepared (config : Config.t) (fast : Stats.t) =
   let cached_ff =
     match
       Wp_sim.Simulator.run_compiled ~fastforward:true
-        ~snapshot_cache:(Lazy.force fastpath_cache) ~config ~trace compiled
+        ~snapshot_cache:fastpath_cache ~config ~trace compiled
     with
     | exception exn ->
         [
@@ -592,7 +730,7 @@ let check_mp_mix ~where spec (config : Config.t) =
              aggregate, and must take every switch at the same point. *)
           (match
              Mp.run
-               ~snapshot_cache:(Lazy.force fastpath_cache)
+               ~snapshot_cache:fastpath_cache
                ~config ~options mix
            with
           | exception exn ->
@@ -683,11 +821,21 @@ let check_soundness ~where ~geometry ~program ~layout ~trace =
 
 (* The PR 8 kernel is one fixed image; its reserved-area contract and
    the user layout's disjointness from it are checked once per process
-   and reused across seeds. *)
-let kernel_lazy = lazy (Wp_mp.Kernel.prepare ~page_bytes:1024)
+   and reused across seeds.  Fuzz seeds run on several domains, where
+   forcing one [Lazy.t] concurrently raises, hence the lock. *)
+let kernel =
+  let lock = Mutex.create () and memo = ref None in
+  fun () ->
+    Mutex.protect lock (fun () ->
+        match !memo with
+        | Some k -> k
+        | None ->
+            let k = Wp_mp.Kernel.prepare ~page_bytes:1024 in
+            memo := Some k;
+            k)
 
 let check_reserved ~where graph user_layout =
-  match Lazy.force kernel_lazy with
+  match kernel () with
   | exception exn ->
       [
         Printf.sprintf "%s: kernel prepare raised: %s" where
@@ -777,7 +925,16 @@ let check_spec ?(geometries = default_geometries) spec =
                    @ check_oracle ~where config stats ~graph ~layout ~trace
                    (* probed rerun doubles the cell's cost: first
                       geometry only *)
-                   @ (if i = 0 then check_probe ~where prepared config stats
+                   @ (if i = 0 then
+                        check_probe ~where prepared config stats
+                        @ check_windows ~where ~seed:spec.Spec.seed ~stats
+                            prepared config
+                        @
+                        if label = "baseline" || label = "wayplace" then
+                          check_windows ~where:(where ^ " tight")
+                            ~seed:spec.Spec.seed prepared
+                            (tight_latencies config)
+                        else []
                       else [])
                    (* the mp identity oracle holds for every cell; the
                       full time-sliced agreement (fast = reference =

@@ -30,6 +30,14 @@
       them: every mirrored counter exactly, retired instructions and
       final cycle count exactly, cumulative per-bucket energy
       bit-for-bit;
+    - {b window identity} — a sampler riding the block-batched fast path
+      (aggregate events, direct counts, stepping only the runs that
+      could cross a window boundary) builds exactly the windows of a
+      sampler attached as a plain probe to the per-instruction reference
+      loop — every field, energy bit for bit — with unchanged statistics,
+      at 1, 7 and 1024-cycle windows, with and without a generated
+      resize schedule (at block 0, two interior blocks and the last),
+      and on a tight-latency variant whose bounds have little slack;
     - {b multiprogramming laws} — an infinite-quantum, kernel-free
       single-process {!Wp_mp.Machine} run is [Stats.equal] to the
       cell's own [Simulator.run] (the mp identity oracle, every cell of

@@ -383,7 +383,7 @@ let run ?probe ?(reference_only = false) ?fastforward
     match ff_report with Some r -> r | None -> Steady_state.create_report ()
   in
   let config_digest =
-    lazy (Digest.string (Marshal.to_string config []))
+    lazy (Digest.string (Marshal.to_string config [ Marshal.No_sharing ]))
   in
   let make_ff (p : proc_state) =
     let c = ref 0 and ins = ref 0 in

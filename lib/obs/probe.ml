@@ -6,6 +6,7 @@ type bucket = Icache | Itlb | Dcache | Memory | Core
 
 type event =
   | Fetch of fetch_kind
+  | Fetches of { kind : fetch_kind; n : int }
   | Icache_access of { hit : bool }
   | L0_access of { hit : bool }
   | Tag_comparisons of int
@@ -20,6 +21,7 @@ type event =
   | Dtlb_miss
   | Dcache_access of { miss : bool }
   | Energy of { bucket : bucket; pj : float }
+  | Energy_run of { bucket : bucket; pj : float; n : int }
   | Retire of { cycles : int; instrs : int }
   | Resize of { area_bytes : int }
   | Flush
@@ -54,6 +56,8 @@ let fetch_kind_name = function
 
 let pp_event ppf = function
   | Fetch k -> Format.fprintf ppf "Fetch %s" (fetch_kind_name k)
+  | Fetches { kind; n } ->
+      Format.fprintf ppf "Fetches %s x%d" (fetch_kind_name kind) n
   | Icache_access { hit } -> Format.fprintf ppf "Icache_access hit=%b" hit
   | L0_access { hit } -> Format.fprintf ppf "L0_access hit=%b" hit
   | Tag_comparisons n -> Format.fprintf ppf "Tag_comparisons %d" n
@@ -73,6 +77,8 @@ let pp_event ppf = function
   | Dcache_access { miss } -> Format.fprintf ppf "Dcache_access miss=%b" miss
   | Energy { bucket; pj } ->
       Format.fprintf ppf "Energy %s %.3fpJ" (bucket_name bucket) pj
+  | Energy_run { bucket; pj; n } ->
+      Format.fprintf ppf "Energy_run %s %.3fpJ x%d" (bucket_name bucket) pj n
   | Retire { cycles; instrs } ->
       Format.fprintf ppf "Retire cycles=%d instrs=%d" cycles instrs
   | Resize { area_bytes } -> Format.fprintf ppf "Resize %dB" area_bytes

@@ -4,14 +4,21 @@
     [Probe.t option] and emission sites pattern-match on it so that the
     event value is only ever allocated inside the [Some] branch.  With
     the probe absent every site costs one comparison and a branch —
-    simulation results ([Stats.t]) are bit-identical either way, which
+    simulation results ([Sim.Stats]) are bit-identical either way, which
     [Check.Differ] enforces across the scheme grid.
 
-    Counter-like events mirror the increments of [Sim.Stats] one for
-    one, at the exact sites where the simulator bumps the corresponding
-    field.  That makes window aggregation conservative by construction:
-    summing any partition of the event stream reproduces the final
-    statistics (see {!Sampler}). *)
+    Counter-like events mirror the increments of [Sim.Stats] at the
+    sites where the simulator bumps the corresponding field: one event
+    per increment on the per-instruction reference loop, and aggregate
+    events ([Fetches], [Energy_run]) where the block-batched fast path
+    performs many identical increments at once (a same-line run's tail).
+    Either way the event stream adds up to the same statistics, so
+    window aggregation is conservative by construction: summing any
+    partition of the stream at [Retire] points reproduces the final
+    statistics (see {!Sampler}).  A general probe passed to the
+    simulator keeps the reference loop and sees one event per access; a
+    sampler passed as such rides the batched loop and is mostly counted
+    into directly ({!Sink}). *)
 
 type fetch_kind =
   | Same_line  (** sequential fetch within the last line, tag check elided *)
@@ -25,6 +32,10 @@ type bucket = Icache | Itlb | Dcache | Memory | Core
 
 type event =
   | Fetch of fetch_kind
+  | Fetches of { kind : fetch_kind; n : int }
+      (** [n] fetches of one kind in a row: what [n] [Fetch kind]
+          events would count.  The batched fast path reports a
+          same-line run's elided tail this way. *)
   | Icache_access of { hit : bool }
   | L0_access of { hit : bool }  (** filter-cache L0 probe *)
   | Tag_comparisons of int
@@ -41,10 +52,18 @@ type event =
   | Dtlb_miss
   | Dcache_access of { miss : bool }
   | Energy of { bucket : bucket; pj : float }
-      (** mirrors every [Energy.Account] addition, in order *)
+      (** mirrors one [Energy.Account] addition; with [Energy_run],
+          every addition is mirrored, in order *)
+  | Energy_run of { bucket : bucket; pj : float; n : int }
+      (** [n] successive additions of [pj] to one bucket — a consumer
+          that needs the account's float-add order replays them one by
+          one *)
   | Retire of { cycles : int; instrs : int }
-      (** cumulative totals after retiring one instruction — the
-          sampler's clock *)
+      (** cumulative totals after retiring one or more instructions —
+          the sampler's clock.  The reference loop emits one per
+          instruction; the batched fast path one per stretch of runs
+          that cannot reach the sampler's next window boundary, where
+          the clock is next read *)
   | Resize of { area_bytes : int }  (** way-placement area resized *)
   | Flush
   | Context_switch of { next : int }

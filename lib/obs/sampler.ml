@@ -158,7 +158,9 @@ type t = {
   counters : int array;
   energy : float array;
   cum_energy : float array;
-  ways : (int, int ref) Hashtbl.t;
+  mutable ways : int array;
+      (* CAM searches per ways-precharged count, indexed by ways; grown
+         on demand, so a search costs an array bump, not a hash *)
   mutable markers : marker list; (* reversed, current window *)
   mutable finished : bool;
 }
@@ -178,7 +180,7 @@ let create ?(window_cycles = default_window_cycles) () =
     counters = Array.make Counter.count 0;
     energy = Array.make n_buckets 0.0;
     cum_energy = Array.make n_buckets 0.0;
-    ways = Hashtbl.create 7;
+    ways = Array.make 33 0;
     markers = [];
     finished = false;
   }
@@ -191,10 +193,11 @@ let window_is_empty t =
   && Array.for_all (fun e -> e = 0.0) t.energy
 
 let close_window t =
-  let ways_hist =
-    Hashtbl.fold (fun ways n acc -> (ways, !n) :: acc) t.ways []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+  let ways_hist = ref [] in
+  for ways = Array.length t.ways - 1 downto 0 do
+    let n = t.ways.(ways) in
+    if n > 0 then ways_hist := (ways, n) :: !ways_hist
+  done;
   let w =
     {
       index = t.index;
@@ -204,7 +207,7 @@ let close_window t =
       counters = Array.copy t.counters;
       energy_pj = Array.copy t.energy;
       cum_energy_pj = Array.copy t.cum_energy;
-      ways_hist;
+      ways_hist = !ways_hist;
       markers = List.rev t.markers;
     }
   in
@@ -215,7 +218,7 @@ let close_window t =
   t.next_boundary <- ((t.cycles / t.window_cycles) + 1) * t.window_cycles;
   Array.fill t.counters 0 Counter.count 0;
   Array.fill t.energy 0 n_buckets 0.0;
-  Hashtbl.reset t.ways;
+  Array.fill t.ways 0 (Array.length t.ways) 0;
   t.markers <- []
 
 let bump t c = t.counters.(Counter.index c) <- t.counters.(Counter.index c) + 1
@@ -223,21 +226,39 @@ let bump t c = t.counters.(Counter.index c) <- t.counters.(Counter.index c) + 1
 let bump_by t c n =
   t.counters.(Counter.index c) <- t.counters.(Counter.index c) + n
 
+let fetch_counter : Probe.fetch_kind -> Counter.t = function
+  | Same_line -> Same_line_fetches
+  | Way_placed -> Wp_fetches
+  | Full -> Full_fetches
+  | Link_follow -> Link_follows
+
+let note_search t ways =
+  if ways >= Array.length t.ways then begin
+    let grown = Array.make (max (ways + 1) (2 * Array.length t.ways)) 0 in
+    Array.blit t.ways 0 grown 0 (Array.length t.ways);
+    t.ways <- grown
+  end;
+  t.ways.(ways) <- t.ways.(ways) + 1
+
+(* The window and cumulative sums mirror the Account's own additions in
+   the same order, so the final cumulative figure is bit-identical to
+   [Stats.t]. *)
+let add_energy t i pj =
+  t.energy.(i) <- t.energy.(i) +. pj;
+  t.cum_energy.(i) <- t.cum_energy.(i) +. pj
+
+let energy_accumulators t = (t.energy, t.cum_energy)
+
 let handle t (ev : Probe.event) =
   if not t.finished then
     match ev with
-    | Fetch Same_line -> bump t Same_line_fetches
-    | Fetch Way_placed -> bump t Wp_fetches
-    | Fetch Full -> bump t Full_fetches
-    | Fetch Link_follow -> bump t Link_follows
+    | Fetch kind -> bump t (fetch_counter kind)
+    | Fetches { kind; n } -> bump_by t (fetch_counter kind) n
     | Icache_access { hit } ->
         bump t (if hit then Icache_hits else Icache_misses)
     | L0_access { hit } -> bump t (if hit then L0_hits else L0_misses)
     | Tag_comparisons n -> bump_by t Tag_comparisons n
-    | Tag_search { ways } -> (
-        match Hashtbl.find_opt t.ways ways with
-        | Some n -> incr n
-        | None -> Hashtbl.add t.ways ways (ref 1))
+    | Tag_search { ways } -> note_search t ways
     | Line_fill { evicted } ->
         bump t Line_fills;
         if evicted then bump t Evictions
@@ -255,12 +276,14 @@ let handle t (ev : Probe.event) =
     | Dcache_access { miss } ->
         bump t Dcache_accesses;
         if miss then bump t Dcache_misses
-    | Energy { bucket; pj } ->
+    | Energy { bucket; pj } -> add_energy t (Probe.bucket_index bucket) pj
+    | Energy_run { bucket; pj; n } ->
+        (* One by one, never [n *. pj]: the account's own sequence of
+           float additions. *)
         let i = Probe.bucket_index bucket in
-        t.energy.(i) <- t.energy.(i) +. pj;
-        (* Mirror the Account's own additions in the same order so the
-           final cumulative figure is bit-identical to [Stats.t]. *)
-        t.cum_energy.(i) <- t.cum_energy.(i) +. pj
+        for _ = 1 to n do
+          add_energy t i pj
+        done
     | Retire { cycles; instrs } ->
         t.cycles <- cycles;
         t.instrs <- instrs;
@@ -271,7 +294,26 @@ let handle t (ev : Probe.event) =
     | Context_switch { next } ->
         t.markers <- Switch { cycle = t.cycles; next } :: t.markers
 
-let probe t : Probe.t = handle t
+let observe = handle
+
+(* A closure of arity one (not a partial application of [handle]), so
+   each event is one indirect call straight into [handle]. *)
+let probe t : Probe.t =
+  let sink ev = handle t ev in
+  sink
+
+let count t c n = if not t.finished then bump_by t c n
+
+let tag_search t ~ways = if not t.finished then note_search t ways
+
+let fetch_access t kind ~comparisons ~hit =
+  if not t.finished then begin
+    bump t (fetch_counter kind);
+    bump_by t Tag_comparisons comparisons;
+    bump t (if hit then Icache_hits else Icache_misses)
+  end
+
+let next_boundary t = if t.finished then max_int else t.next_boundary
 
 let finish t =
   if not t.finished then begin

@@ -8,13 +8,16 @@
     one is [start_cycle] of the next) and their cycle spans telescope
     to the run's total cycle count.
 
-    Conservation law: every counter event mirrors a [Sim.Stats]
-    increment at the site where the simulator performs it, so summing a
-    column over all windows reproduces the final statistics exactly;
-    per-bucket cumulative energy mirrors the [Energy.Account] additions
-    in order, making the last window's [cum_energy_pj] bit-identical to
-    the account.  [Check.Differ] fuzzes this invariant; the unit tests
-    pin it for baseline, way-placement and drowsy runs. *)
+    Conservation law: every counter event mirrors [Sim.Stats]
+    increments (one, or [n] for an aggregate event) at the site where
+    the simulator performs them, so summing a column over all windows
+    reproduces the final statistics exactly; per-bucket cumulative
+    energy mirrors the [Energy.Account] additions in order ([Energy_run]
+    events are replayed addition by addition), making the last window's
+    [cum_energy_pj] bit-identical to the account.  [Check.Differ] fuzzes
+    this invariant, and that the windows of a batched fast-path run equal
+    the reference loop's field for field; the unit tests pin both for
+    baseline, way-placement and drowsy runs. *)
 
 module Counter : sig
   type t =
@@ -88,6 +91,37 @@ val create : ?window_cycles:int -> unit -> t
 val probe : t -> Probe.t
 (** The sink to attach to a simulation run.  Events arriving after
     {!finish} are discarded. *)
+
+val observe : t -> Probe.event -> unit
+(** Feed one event; [observe t] behaves as [probe t]. *)
+
+val count : t -> Counter.t -> int -> unit
+(** [count t c n] adds [n] to counter [c] of the current window: what
+    the events mirroring [n] such increments would do. *)
+
+val tag_search : t -> ways:int -> unit
+(** What [Tag_search { ways }] does. *)
+
+val fetch_access : t -> Probe.fetch_kind -> comparisons:int -> hit:bool -> unit
+(** One tag-checked fetch: what [Fetch kind], [Tag_comparisons
+    comparisons] and [Icache_access { hit }] would do, in one call. *)
+
+val energy_accumulators : t -> float array * float array
+(** The window-local and cumulative per-bucket energy accumulators
+    ({!Probe.bucket_index}ed), for an energy account to keep up to date
+    in place.  For an account that starts at zero with the sampler
+    attached, adding [pj] to window cell [i] and setting cumulative cell
+    [i] to the account's new total is exactly what the probe does with
+    [Energy { bucket; pj }].  The arrays are the sampler's own; the
+    window cells are reset in place when a window closes. *)
+
+val next_boundary : t -> int
+(** The cumulative cycle count at or past which the next [Retire]
+    closes the current window ([max_int] once finished).  The batched
+    fast path bounds its runs against it: runs whose worst-case cycle
+    count cannot reach it cannot close a window, so one aggregate
+    [Retire] for a stretch of them builds the same windows as one per
+    instruction. *)
 
 val finish : t -> window list
 (** Close the current window and return all windows in order.

@@ -7,9 +7,10 @@ type t = {
   probe : Wp_obs.Probe.t option;
 }
 
-let create ?(btb_entries = 128) ?(mispredict_penalty = 4) ?probe () =
+let create ?(btb_entries = 128) ?btb ?(mispredict_penalty = 4) ?probe () =
   {
-    btb = Btb.create ~entries:btb_entries;
+    btb =
+      (match btb with Some b -> b | None -> Btb.create ~entries:btb_entries);
     mispredict_penalty;
     cycles = 0;
     instructions = 0;
@@ -40,6 +41,15 @@ let retire t ~pc ~opcode ~fetch_stall ~dmem_stall ~taken =
   | None -> ()
   | Some p ->
       p (Wp_obs.Probe.Retire { cycles = t.cycles; instrs = t.instructions })
+
+let sync t ~cycles ~instrs =
+  if cycles <> t.cycles || instrs <> t.instructions then begin
+    t.cycles <- cycles;
+    t.instructions <- instrs;
+    match t.probe with
+    | None -> ()
+    | Some p -> p (Wp_obs.Probe.Retire { cycles; instrs })
+  end
 
 let cycles t = t.cycles
 let instructions t = t.instructions

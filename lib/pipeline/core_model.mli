@@ -14,10 +14,17 @@
 type t
 
 val create :
-  ?btb_entries:int -> ?mispredict_penalty:int -> ?probe:Wp_obs.Probe.t ->
-  unit -> t
-(** Defaults: 128-entry BTB, 4-cycle mispredict penalty.  [probe]
-    observes one cumulative [Retire] event per retired instruction —
+  ?btb_entries:int ->
+  ?btb:Btb.t ->
+  ?mispredict_penalty:int ->
+  ?probe:Wp_obs.Probe.t ->
+  unit ->
+  t
+(** Defaults: 128-entry BTB, 4-cycle mispredict penalty.  [btb], if
+    given, is used (and updated) in place of a fresh predictor of
+    [btb_entries] entries — the batched fast path shares its own with
+    the core that steps its near-boundary blocks.  [probe] observes one
+    cumulative [Retire] event per {!retire} or clock-moving {!sync} —
     the sampler's clock; pure observation. *)
 
 val retire :
@@ -31,6 +38,12 @@ val retire :
 (** Account one instruction.  [taken] matters only for conditional
     branches ([Jump]/[Call]/[Return] are unconditional and predicted
     by the BTB's target logic, modelled as always-correct). *)
+
+val sync : t -> cycles:int -> instrs:int -> unit
+(** Move the cumulative clock to totals the caller computed itself (the
+    batched fast path, which also predicts its branches on the shared
+    BTB) and, if they moved, emit one [Retire] event carrying them.
+    {!mispredicts} counts only branches retired through {!retire}. *)
 
 val cycles : t -> int
 val instructions : t -> int

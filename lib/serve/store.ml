@@ -8,8 +8,12 @@ type t = {
   table : (string, Stats.t) Hashtbl.t;
   evictions : int Atomic.t;
   write_failures : int Atomic.t;
-  tmp_counter : int Atomic.t;
 }
+
+(* Temporary-file names must be unique per process, not per store: two
+   stores over one directory in one process would otherwise write the
+   same temporary file, and one of the two publishes would fail. *)
+let tmp_counter = Atomic.make 0
 
 let create ?dir () =
   let ready =
@@ -46,7 +50,6 @@ let create ?dir () =
           table = Hashtbl.create 256;
           evictions = Atomic.make 0;
           write_failures = Atomic.make 0;
-          tmp_counter = Atomic.make 0;
         }
 
 let dir t = t.dir
@@ -122,7 +125,7 @@ let store_disk t k stats =
           Filename.concat d
             (Printf.sprintf ".tmp-%d-%d-%s"
                (Unix.getpid ())
-               (Atomic.fetch_and_add t.tmp_counter 1)
+               (Atomic.fetch_and_add tmp_counter 1)
                k)
         in
         match open_out_bin tmp with

@@ -6,7 +6,7 @@ type t = {
   memory_latency : int;
   tlb_walk_latency : int;
   memory_access_pj : float;
-  probe : Wp_obs.Probe.t option;
+  sink : Wp_obs.Sink.t;
   (* Hot per-access constants: [Cam_energy.t] is an all-float record,
      so reading its fields boxes a float per access; these fields are
      boxed once at creation (mixed record) and free to read. *)
@@ -17,7 +17,7 @@ type t = {
 
 let no_wp _ = false
 
-let create ?probe (config : Config.t) =
+let create ?probe ?sampler (config : Config.t) =
   let energies = Wp_energy.Cam_energy.of_geometry config.energy config.dcache in
   {
     (* The D-cache's own CAM gets no probe: [Tag_search]/[Line_fill]
@@ -34,7 +34,7 @@ let create ?probe (config : Config.t) =
     memory_latency = config.memory_latency;
     tlb_walk_latency = config.tlb_walk_latency;
     memory_access_pj = config.energy.Wp_energy.Params.memory_access_pj;
-    probe;
+    sink = Wp_obs.Sink.make ?probe ?sampler ();
     tag_full_pj =
       Wp_energy.Cam_energy.tag_search energies
         ~ways:config.dcache.Wp_cache.Geometry.assoc;
@@ -51,15 +51,18 @@ let access t (stats : Stats.t) addr ~write:_ =
     if tlb_bits land 1 = 1 then 0
     else begin
       stats.dtlb_misses <- stats.dtlb_misses + 1;
-      (match t.probe with None -> () | Some p -> p Wp_obs.Probe.Dtlb_miss);
+      Wp_obs.Sink.emit t.sink Wp_obs.Probe.Dtlb_miss;
       Wp_energy.Account.add_memory account t.memory_access_pj;
       t.tlb_walk_latency
     end
   in
   let hit_way = Wp_cache.Cam_cache.lookup_full_way t.cache addr in
-  (match t.probe with
-  | None -> ()
-  | Some p -> p (Wp_obs.Probe.Dcache_access { miss = hit_way < 0 }));
+  (match t.sink with
+  | Wp_obs.Sink.Quiet -> ()
+  | Events p -> p (Wp_obs.Probe.Dcache_access { miss = hit_way < 0 })
+  | Tally s ->
+      Wp_obs.Sampler.count s Dcache_accesses 1;
+      if hit_way < 0 then Wp_obs.Sampler.count s Dcache_misses 1);
   Wp_energy.Account.add_dcache account t.tag_full_pj;
   Wp_energy.Account.add_dcache account t.dw_pj;
   let miss_stall =
@@ -76,6 +79,8 @@ let access t (stats : Stats.t) addr ~write:_ =
     end
   in
   tlb_stall + miss_stall
+
+let stall_bound t = t.tlb_walk_latency + t.memory_latency
 
 let flush t =
   Wp_cache.Cam_cache.flush t.cache;

@@ -8,13 +8,19 @@
 
 type t
 
-val create : ?probe:Wp_obs.Probe.t -> Config.t -> t
+val create : ?probe:Wp_obs.Probe.t -> ?sampler:Wp_obs.Sampler.t -> Config.t -> t
 (** [probe] observes one [Dcache_access] event per access plus
-    [Dtlb_miss] events; pure observation. *)
+    [Dtlb_miss] events; [sampler] has the accesses counted into it
+    directly.  Pure observation; at most one of the two may be
+    given. *)
 
 val access : t -> Stats.t -> Wp_isa.Addr.t -> write:bool -> int
 (** Perform the access, charge D-cache/D-TLB/memory energy and update
     counters; returns the pipeline stall in cycles. *)
+
+val stall_bound : t -> int
+(** A static upper bound on the stall {!access} can return: a D-TLB
+    walk plus a miss to memory. *)
 
 val flush : t -> unit
 

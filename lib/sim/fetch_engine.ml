@@ -24,6 +24,7 @@ type t = {
   backend : backend;
   window : window;
   tlb : Wp_tlb.Tlb.t;
+  page_shift : int;  (** [log2 page_bytes] *)
   geometry : Geometry.t;
   energies : Cam_energy.t;
   tlb_lookup_pj : float;
@@ -35,7 +36,7 @@ type t = {
   drowsy : Drowsy.t option;
   leakage_enabled : bool;
   energy_params : Params.t;
-  probe : Wp_obs.Probe.t option;
+  sink : Wp_obs.Sink.t;
   (* Hot per-fetch constants, precomputed at creation.  [Cam_energy.t]
      is an all-float record, so reading a field from it (or calling
      [tag_search]) boxes a fresh float on every fetch; this record is
@@ -59,21 +60,23 @@ type t = {
   mutable prev_way : int;
 }
 
-let create ?probe (config : Config.t) ~code_base =
+let create ?probe ?sampler (config : Config.t) ~code_base =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Fetch_engine.create: " ^ msg));
+  let sink = Wp_obs.Sink.make ?probe ?sampler () in
+  let cam geometry =
+    Cam_cache.create ?probe ?sampler geometry ~replacement:config.replacement
+  in
+  (* The other sub-components report through plain probe events. *)
+  let probe = Wp_obs.Sink.probe sink in
   let backend =
     match config.scheme with
-    | Config.Baseline ->
-        B_baseline
-          (Cam_cache.create ?probe config.icache ~replacement:config.replacement)
+    | Config.Baseline -> B_baseline (cam config.icache)
     | Config.Way_placement { area_bytes } ->
         B_way_placement
           {
-            cache =
-              Cam_cache.create ?probe config.icache
-                ~replacement:config.replacement;
+            cache = cam config.icache;
             hint = Wp_tlb.Way_hint.create ();
             area_bytes;
           }
@@ -93,9 +96,7 @@ let create ?probe (config : Config.t) ~code_base =
         B_filter
           {
             filter = Filter_cache.create ?probe ~l0 ();
-            l1 =
-              Cam_cache.create ?probe config.icache
-                ~replacement:config.replacement;
+            l1 = cam config.icache;
             l0_energies = Cam_energy.of_geometry config.energy l0;
           }
   in
@@ -122,6 +123,7 @@ let create ?probe (config : Config.t) ~code_base =
     tlb =
       Wp_tlb.Tlb.create ~entries:config.itlb_entries
         ~page_bytes:config.page_bytes;
+    page_shift = Wp_isa.Addr.log2 config.page_bytes;
     geometry = config.icache;
     energies;
     tlb_lookup_pj =
@@ -138,7 +140,7 @@ let create ?probe (config : Config.t) ~code_base =
         config.drowsy_window_fetches;
     leakage_enabled = config.leakage_enabled;
     energy_params = config.energy;
-    probe;
+    sink;
     tag_full_pj =
       Cam_energy.tag_search energies ~ways:config.icache.Geometry.assoc;
     tag_one_pj = Cam_energy.tag_search energies ~ways:1;
@@ -241,10 +243,21 @@ let translate t (stats : Stats.t) addr =
   if bits land 1 = 1 then wp
   else begin
     stats.itlb_misses <- stats.itlb_misses + 1;
-    (match t.probe with None -> () | Some p -> p Wp_obs.Probe.Itlb_miss);
+    Wp_obs.Sink.emit t.sink Wp_obs.Probe.Itlb_miss;
     Account.add_memory stats.account t.memory_access_pj;
     (t.tlb_walk_latency lsl 1) lor wp
   end
+
+(* One tag-checked fetch, reported as its three events — or, to a
+   sampler, as one direct count. *)
+let note_access t kind ~comparisons ~hit =
+  match t.sink with
+  | Wp_obs.Sink.Quiet -> ()
+  | Events p ->
+      p (Wp_obs.Probe.Fetch kind);
+      p (Wp_obs.Probe.Tag_comparisons comparisons);
+      p (Wp_obs.Probe.Icache_access { hit })
+  | Tally s -> Wp_obs.Sampler.fetch_access s kind ~comparisons ~hit
 
 (* A full-width access on the plain CAM cache, shared by the baseline
    and the way-placement scheme's wide paths.  [fill_policy] differs:
@@ -258,12 +271,7 @@ let full_access t (stats : Stats.t) cache addr ~fill_policy =
   let hit_way = Cam_cache.lookup_full_way cache addr in
   let assoc = t.geometry.Geometry.assoc in
   stats.tag_comparisons <- stats.tag_comparisons + assoc;
-  (match t.probe with
-  | None -> ()
-  | Some p ->
-      p (Wp_obs.Probe.Fetch Full);
-      p (Wp_obs.Probe.Tag_comparisons assoc);
-      p (Wp_obs.Probe.Icache_access { hit = hit_way >= 0 }));
+  note_access t Full ~comparisons:assoc ~hit:(hit_way >= 0);
   charge_icache stats t.tag_full_pj;
   charge_icache stats t.dw_pj;
   let set = Geometry.set_index t.geometry addr in
@@ -286,12 +294,7 @@ let way_placed_access t (stats : Stats.t) cache addr =
   let way = Geometry.way_of_addr t.geometry addr in
   let hit = Cam_cache.lookup_way_hit cache addr ~way in
   stats.tag_comparisons <- stats.tag_comparisons + 1;
-  (match t.probe with
-  | None -> ()
-  | Some p ->
-      p (Wp_obs.Probe.Fetch Way_placed);
-      p (Wp_obs.Probe.Tag_comparisons 1);
-      p (Wp_obs.Probe.Icache_access { hit }));
+  note_access t Way_placed ~comparisons:1 ~hit;
   charge_icache stats t.tag_one_pj;
   charge_icache stats t.dw_pj;
   let set = Geometry.set_index t.geometry addr in
@@ -313,14 +316,9 @@ let memo_access t (stats : Stats.t) memo addr =
   if r.Way_memo.link_followed then
     stats.link_follows <- stats.link_follows + 1
   else stats.full_fetches <- stats.full_fetches + 1;
-  (match t.probe with
-  | None -> ()
-  | Some p ->
-      p
-        (Wp_obs.Probe.Fetch
-           (if r.Way_memo.link_followed then Link_follow else Full));
-      p (Wp_obs.Probe.Tag_comparisons r.Way_memo.tag_comparisons);
-      p (Wp_obs.Probe.Icache_access { hit = r.Way_memo.hit }));
+  note_access t
+    (if r.Way_memo.link_followed then Link_follow else Full)
+    ~comparisons:r.Way_memo.tag_comparisons ~hit:r.Way_memo.hit;
   if r.Way_memo.link_written then stats.link_writes <- stats.link_writes + 1;
   stats.links_invalidated <-
     stats.links_invalidated + r.Way_memo.links_invalidated;
@@ -344,12 +342,8 @@ let waypred_access t (stats : Stats.t) predictor addr =
   stats.full_fetches <- stats.full_fetches + 1;
   let r = Way_predict.access predictor addr in
   stats.tag_comparisons <- stats.tag_comparisons + r.Way_predict.tag_comparisons;
-  (match t.probe with
-  | None -> ()
-  | Some p ->
-      p (Wp_obs.Probe.Fetch Full);
-      p (Wp_obs.Probe.Tag_comparisons r.Way_predict.tag_comparisons);
-      p (Wp_obs.Probe.Icache_access { hit = r.Way_predict.hit }));
+  note_access t Full ~comparisons:r.Way_predict.tag_comparisons
+    ~hit:r.Way_predict.hit;
   if r.Way_predict.predicted_correctly then
     stats.waypred_correct <- stats.waypred_correct + 1
   else stats.waypred_wrong <- stats.waypred_wrong + 1;
@@ -388,19 +382,22 @@ let filter_access t (stats : Stats.t) filter l1 l0_energies addr =
      else Cam_energy.tag_search l0_energies ~ways:r.Filter_cache.l0_tag_comparisons);
   charge_icache stats t.l0_dw_pj;
   stats.tag_comparisons <- stats.tag_comparisons + r.Filter_cache.l0_tag_comparisons;
-  (match t.probe with
-  | None -> ()
-  | Some p ->
-      p (Wp_obs.Probe.Tag_comparisons r.Filter_cache.l0_tag_comparisons));
+  (match t.sink with
+  | Wp_obs.Sink.Quiet -> ()
+  | Events p ->
+      p (Wp_obs.Probe.Tag_comparisons r.Filter_cache.l0_tag_comparisons)
+  | Tally s ->
+      Wp_obs.Sampler.count s Tag_comparisons r.Filter_cache.l0_tag_comparisons);
   if r.Filter_cache.l0_hit then begin
     stats.l0_hits <- stats.l0_hits + 1;
     stats.full_fetches <- stats.full_fetches + 1;
     stats.icache_hits <- stats.icache_hits + 1;
-    (match t.probe with
-    | None -> ()
-    | Some p ->
+    (match t.sink with
+    | Wp_obs.Sink.Quiet -> ()
+    | Events p ->
         p (Wp_obs.Probe.Fetch Full);
-        p (Wp_obs.Probe.Icache_access { hit = true }));
+        p (Wp_obs.Probe.Icache_access { hit = true })
+    | Tally s -> Wp_obs.Sampler.fetch_access s Full ~comparisons:0 ~hit:true);
     0
   end
   else begin
@@ -422,9 +419,7 @@ let fetch t (stats : Stats.t) addr =
   let stall =
     if elide then begin
       stats.same_line_fetches <- stats.same_line_fetches + 1;
-      (match t.probe with
-      | None -> ()
-      | Some p -> p (Wp_obs.Probe.Fetch Same_line));
+      Wp_obs.Sink.emit t.sink (Wp_obs.Probe.Fetch Same_line);
       (match t.backend with
       | B_way_memo memo ->
           Way_memo.note_same_line memo addr;
@@ -458,24 +453,18 @@ let fetch t (stats : Stats.t) addr =
             match Wp_tlb.Way_hint.resolve hint ~actual:way_placed with
             | Wp_tlb.Way_hint.Correct_way_placed ->
                 stats.hint_correct_wp <- stats.hint_correct_wp + 1;
-                (match t.probe with
-                | None -> ()
-                | Some p -> p (Wp_obs.Probe.Hint Correct_wp));
+                Wp_obs.Sink.emit t.sink (Wp_obs.Probe.Hint Correct_wp);
                 way_placed_access t stats cache addr
             | Wp_tlb.Way_hint.Correct_normal ->
                 stats.hint_correct_normal <- stats.hint_correct_normal + 1;
-                (match t.probe with
-                | None -> ()
-                | Some p -> p (Wp_obs.Probe.Hint Correct_normal));
+                Wp_obs.Sink.emit t.sink (Wp_obs.Probe.Hint Correct_normal);
                 full_access t stats cache addr
                   ~fill_policy:Cam_cache.Victim_by_policy
             | Wp_tlb.Way_hint.Missed_saving ->
                 (* Way-placed page accessed with the wide path; the
                    fill must still respect the designated way. *)
                 stats.hint_missed_saving <- stats.hint_missed_saving + 1;
-                (match t.probe with
-                | None -> ()
-                | Some p -> p (Wp_obs.Probe.Hint Missed_saving));
+                Wp_obs.Sink.emit t.sink (Wp_obs.Probe.Hint Missed_saving);
                 full_access t stats cache addr
                   ~fill_policy:
                     (Cam_cache.Forced_way (Geometry.way_of_addr t.geometry addr))
@@ -484,11 +473,8 @@ let fetch t (stats : Stats.t) addr =
                    penalty cycle plus the probe energy (Section 4.1). *)
                 stats.hint_reaccess <- stats.hint_reaccess + 1;
                 stats.tag_comparisons <- stats.tag_comparisons + 1;
-                (match t.probe with
-                | None -> ()
-                | Some p ->
-                    p (Wp_obs.Probe.Hint Reaccess);
-                    p (Wp_obs.Probe.Tag_comparisons 1));
+                Wp_obs.Sink.emit t.sink (Wp_obs.Probe.Hint Reaccess);
+                Wp_obs.Sink.emit t.sink (Wp_obs.Probe.Tag_comparisons 1);
                 charge_icache stats (Cam_energy.tag_search t.energies ~ways:1);
                 1
                 + full_access t stats cache addr
@@ -510,13 +496,16 @@ let fetch t (stats : Stats.t) addr =
 
    - elision on: each tail fetch charges one data word (scheme-scaled)
      and pokes the drowsy/memo stream state — constants and counter
-     bumps, batched below in the reference accumulation order;
-   - elision off (baseline): each tail fetch is a full TLB hit plus a
-     full CAM hit on the line the head just made resident —
+     bumps, batched below in the reference accumulation order.  A probe
+     hears them as aggregates: one [Fetches] event for the run and the
+     account's [Energy_run] (per-fetch [Energy] events under a drowsy
+     policy, whose wake charges interleave);
+   - elision off (baseline, unprobed): each tail fetch is a full TLB
+     hit plus a full CAM hit on the line the head just made resident —
      [Cam_cache.lookup_line_run] collapses the replacement touches and
      the per-fetch energy is replayed add-for-add;
-   - every other elision-off backend (and any probed engine) falls back
-     to [n - 1] generic [fetch] calls, which are the definition.
+   - every other elision-off tail (and any probed one) falls back to
+     [n - 1] generic [fetch] calls, which are the definition.
 
    The result is bit-identical [Stats.t] to [n] successive [fetch]
    calls — the fast-vs-reference invariant the differ enforces. *)
@@ -529,101 +518,136 @@ let fetch_run t (stats : Stats.t) addr ~n =
     done;
     !s
   in
-  match t.probe with
-  | Some _ -> fetch t stats addr + generic_tail (n - 1)
-  | None ->
-      let head_stall = fetch t stats addr in
-      let m = n - 1 in
-      if m = 0 then head_stall
-      else if t.same_line_elision then begin
+  let head_stall = fetch t stats addr in
+  let m = n - 1 in
+  if m = 0 then head_stall
+  else if t.same_line_elision then begin
+    let last = addr + (m * Wp_isa.Instr.size_bytes) in
+    stats.fetches <- stats.fetches + m;
+    stats.same_line_fetches <- stats.same_line_fetches + m;
+    (match t.sink with
+    | Wp_obs.Sink.Quiet -> ()
+    | Events p -> p (Wp_obs.Probe.Fetches { kind = Same_line; n = m })
+    | Tally s -> Wp_obs.Sampler.count s Same_line_fetches m);
+    let elided_pj =
+      match t.backend with
+      | B_way_memo _ -> t.memo_dw_pj
+      | B_filter _ -> t.l0_dw_pj
+      | B_baseline _ | B_way_placement _ | B_way_predict _ -> t.dw_pj
+    in
+    let stall_extra =
+      match t.drowsy with
+      | Some d when t.prev_set >= 0 ->
+          (* Interleave data-word and (possible) wake charges
+             per fetch so the icache-bucket add order matches the
+             reference exactly.  With back-to-back accesses the gap
+             is 1 <= window, so wakes cannot actually fire here —
+             the branch mirrors [note_line] for fidelity. *)
+          let base = stats.fetches - m in
+          let extra = ref 0 in
+          for j = 1 to m do
+            charge_icache stats elided_pj;
+            if
+              Drowsy.note_access d ~now:(base + j) ~set:t.prev_set
+                ~way:t.prev_way
+            then begin
+              stats.drowsy_wakes <- stats.drowsy_wakes + 1;
+              charge_icache stats t.drowsy_wake_pj;
+              incr extra
+            end
+          done;
+          !extra
+      | Some _ | None ->
+          Account.add_icache_run stats.Stats.account elided_pj ~n:m;
+          0
+    in
+    (* The memo stream advances to the run's last address — the same
+       state [m] successive [note_same_line] calls leave. *)
+    (match t.backend with
+    | B_way_memo memo -> Way_memo.note_same_line memo last
+    | B_baseline _ | B_way_placement _ | B_way_predict _ | B_filter _ -> ());
+    t.prev_addr <- last;
+    head_stall + stall_extra
+  end
+  else begin
+    match (t.backend, t.sink) with
+    | B_baseline cache, Wp_obs.Sink.Quiet ->
         let last = addr + (m * Wp_isa.Instr.size_bytes) in
         stats.fetches <- stats.fetches + m;
-        stats.same_line_fetches <- stats.same_line_fetches + m;
-        let elided_pj =
-          match t.backend with
-          | B_way_memo _ -> t.memo_dw_pj
-          | B_filter _ -> t.l0_dw_pj
-          | B_baseline _ | B_way_placement _ | B_way_predict _ -> t.dw_pj
-        in
+        stats.full_fetches <- stats.full_fetches + m;
+        stats.icache_hits <- stats.icache_hits + m;
+        let way = Cam_cache.lookup_line_run_way cache last ~n:m in
+        stats.tag_comparisons <-
+          stats.tag_comparisons + (m * t.geometry.Geometry.assoc);
+        for _ = 1 to m do
+          Account.add_itlb stats.account t.tlb_lookup_pj
+        done;
+        let tag_one = t.tag_full_pj in
+        let dw = t.dw_pj in
+        let set = Geometry.set_index t.geometry last in
         let stall_extra =
           match t.drowsy with
-          | Some d when t.prev_set >= 0 ->
-              (* Interleave data-word and (possible) wake charges
-                 per fetch so the icache-bucket add order matches the
-                 reference exactly.  With back-to-back accesses the gap
-                 is 1 <= window, so wakes cannot actually fire here —
-                 the branch mirrors [note_line] for fidelity. *)
+          | Some d ->
               let base = stats.fetches - m in
               let extra = ref 0 in
               for j = 1 to m do
-                charge_icache stats elided_pj;
-                if
-                  Drowsy.note_access d ~now:(base + j) ~set:t.prev_set
-                    ~way:t.prev_way
-                then begin
+                charge_icache stats tag_one;
+                charge_icache stats dw;
+                if Drowsy.note_access d ~now:(base + j) ~set ~way then begin
                   stats.drowsy_wakes <- stats.drowsy_wakes + 1;
                   charge_icache stats t.drowsy_wake_pj;
                   incr extra
                 end
               done;
               !extra
-          | Some _ | None ->
-              Account.add_icache_run stats.Stats.account elided_pj ~n:m;
+          | None ->
+              for _ = 1 to m do
+                charge_icache stats tag_one;
+                charge_icache stats dw
+              done;
               0
         in
-        (* The memo stream advances to the run's last address — the same
-           state [m] successive [note_same_line] calls leave. *)
-        (match t.backend with
-        | B_way_memo memo -> Way_memo.note_same_line memo last
-        | B_baseline _ | B_way_placement _ | B_way_predict _ | B_filter _ -> ());
+        t.prev_set <- set;
+        t.prev_way <- way;
         t.prev_addr <- last;
         head_stall + stall_extra
-      end
-      else begin
-        match t.backend with
-        | B_baseline cache ->
-            let last = addr + (m * Wp_isa.Instr.size_bytes) in
-            stats.fetches <- stats.fetches + m;
-            stats.full_fetches <- stats.full_fetches + m;
-            stats.icache_hits <- stats.icache_hits + m;
-            let way = Cam_cache.lookup_line_run_way cache last ~n:m in
-            stats.tag_comparisons <-
-              stats.tag_comparisons + (m * t.geometry.Geometry.assoc);
-            for _ = 1 to m do
-              Account.add_itlb stats.account t.tlb_lookup_pj
-            done;
-            let tag_one = t.tag_full_pj in
-            let dw = t.dw_pj in
-            let set = Geometry.set_index t.geometry last in
-            let stall_extra =
-              match t.drowsy with
-              | Some d ->
-                  let base = stats.fetches - m in
-                  let extra = ref 0 in
-                  for j = 1 to m do
-                    charge_icache stats tag_one;
-                    charge_icache stats dw;
-                    if Drowsy.note_access d ~now:(base + j) ~set ~way then begin
-                      stats.drowsy_wakes <- stats.drowsy_wakes + 1;
-                      charge_icache stats t.drowsy_wake_pj;
-                      incr extra
-                    end
-                  done;
-                  !extra
-              | None ->
-                  for _ = 1 to m do
-                    charge_icache stats tag_one;
-                    charge_icache stats dw
-                  done;
-                  0
-            in
-            t.prev_set <- set;
-            t.prev_way <- way;
-            t.prev_addr <- last;
-            head_stall + stall_extra
-        | B_way_placement _ | B_way_memo _ | B_way_predict _ | B_filter _ ->
-            head_stall + generic_tail m
-      end
+    | ( ( B_baseline _ | B_way_placement _ | B_way_memo _ | B_way_predict _
+        | B_filter _ ),
+        _ ) ->
+        head_stall + generic_tail m
+  end
+
+(* Stall bounds for the sampled fast path, which must know before a
+   run executes whether its cycles could reach a window boundary.  A
+   fetch stalls at most for an I-TLB walk plus a miss to memory, plus
+   the one-cycle extras the schemes add on top: a way-hint re-access, a
+   way-prediction or filter-L0 miss cycle, and a drowsy wake (at most
+   two of them per fetch).  Knowing the previous fetch tightens that:
+   on its line (with elision on) only a drowsy wake remains, and on its
+   page the I-TLB hits — the page was translated by the last fetch that
+   was not elided, and nothing else touches the I-TLB in between (a
+   flush forgets the previous fetch). *)
+let tail_stall_bound t =
+  match t.drowsy with Some _ -> 1 | None -> 0
+
+let fetch_stall_bound t ~prev addr =
+  if t.same_line_elision && prev >= 0 && Geometry.same_line t.geometry addr prev
+  then tail_stall_bound t
+  else begin
+    let page a = a lsr t.page_shift in
+    let walk =
+      if prev >= 0 && page addr = page prev then 0 else t.tlb_walk_latency
+    in
+    walk + t.memory_latency + 2
+  end
+
+(* Tail fetches share the head's line: with elision on they stall only
+   for a drowsy wake; with it off they are full fetches on a page the
+   head just translated. *)
+let same_line_stall_bound t =
+  if t.same_line_elision then tail_stall_bound t else t.memory_latency + 2
+
+let last_fetch t = t.prev_addr
 
 let reset_stream t =
   t.prev_addr <- -1;
@@ -635,7 +659,7 @@ let reset_stream t =
   | B_baseline _ | B_way_predict _ | B_filter _ -> ()
 
 let flush t =
-  (match t.probe with None -> () | Some p -> p Wp_obs.Probe.Flush);
+  Wp_obs.Sink.emit t.sink Wp_obs.Probe.Flush;
   Wp_tlb.Tlb.flush t.tlb;
   (match t.backend with
   | B_baseline cache -> Cam_cache.flush cache
@@ -660,11 +684,11 @@ let resize_area t ~area_bytes =
   | B_way_placement wp ->
       if area_bytes <= 0 then
         invalid_arg "Fetch_engine.resize_area: area must be positive";
-      (match t.probe with
-      | None -> ()
-      | Some p ->
-          p (Wp_obs.Probe.Resize { area_bytes });
-          p Wp_obs.Probe.Flush);
+      (match t.sink with
+      | Wp_obs.Sink.Quiet -> ()
+      | sink ->
+          Wp_obs.Sink.emit sink (Wp_obs.Probe.Resize { area_bytes });
+          Wp_obs.Sink.emit sink Wp_obs.Probe.Flush);
       wp.area_bytes <- area_bytes;
       t.window.warea <- area_bytes;
       Wp_tlb.Tlb.flush t.tlb;

@@ -19,12 +19,20 @@
 
 type t
 
-val create : ?probe:Wp_obs.Probe.t -> Config.t -> code_base:Wp_isa.Addr.t -> t
+val create :
+  ?probe:Wp_obs.Probe.t ->
+  ?sampler:Wp_obs.Sampler.t ->
+  Config.t ->
+  code_base:Wp_isa.Addr.t ->
+  t
 (** [probe] observes every fetch-path event (fetch kinds, hits/misses,
     tag comparisons, CAM searches, hint outcomes, TLB misses, resizes,
     flushes) at the exact sites where the corresponding {!Stats.t}
     counters are bumped; simulation results are bit-identical with or
-    without it.
+    without it.  [sampler] observes the same, with the hottest reports
+    (tag-checked fetches, same-line runs) counted into it directly
+    rather than built as events (see {!Wp_obs.Sink}).  At most one of
+    the two may be given.
     @raise Invalid_argument if the configuration fails
     {!Config.validate}. *)
 
@@ -39,9 +47,26 @@ val fetch_run : t -> Stats.t -> Wp_isa.Addr.t -> n:int -> int
     {!Stats.t} effects to [n] successive {!fetch} calls: the head goes
     through the generic path, the same-line tail is batched per scheme
     (or falls back to per-fetch calls where batching has no specialised
-    form).  Probed engines always take the per-fetch fallback, so the
-    event stream is unchanged too.
+    form).  On a probed engine an elided tail is reported as aggregate
+    events (one [Probe.Fetches] plus the account's [Probe.Energy_run]),
+    which add up to what [n - 1] per-fetch calls would emit; an
+    elision-off tail takes the per-fetch fallback.
     @raise Invalid_argument if [n <= 0]. *)
+
+val fetch_stall_bound : t -> prev:Wp_isa.Addr.t -> Wp_isa.Addr.t -> int
+(** An upper bound on the stall {!fetch} can return for [addr] when the
+    previous fetch was at [prev] ([-1]: unknown): an I-TLB walk unless
+    [prev] is on the same page, a miss to memory and the schemes'
+    one-cycle extras — or, for a same-line fetch with elision on, only
+    a drowsy wake. *)
+
+val same_line_stall_bound : t -> int
+(** An upper bound on the stall of each fetch in a same-line run's
+    tail. *)
+
+val last_fetch : t -> Wp_isa.Addr.t
+(** The address of the previous fetch, [-1] after a flush or at the
+    start. *)
 
 val reset_stream : t -> unit
 (** Forget the previous-fetch context (used at simulation start and by

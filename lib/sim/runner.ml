@@ -53,9 +53,8 @@ let run_scheme ?probe ?fastforward ?ff_report ?snapshot_cache prepared config =
 let run_timeline ?(schedule = []) ?window_cycles prepared config =
   let sampler = Wp_obs.Sampler.create ?window_cycles () in
   let stats =
-    Simulator.run_compiled
-      ~probe:(Wp_obs.Sampler.probe sampler)
-      ~schedule ~config ~trace:prepared.trace_large
+    Simulator.run_compiled ~sampler ~schedule ~config
+      ~trace:prepared.trace_large
       (compiled_for prepared config)
   in
   (stats, Wp_obs.Sampler.finish sampler)

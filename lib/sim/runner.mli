@@ -53,9 +53,14 @@ val run_timeline :
   Config.t ->
   Stats.t * Wp_obs.Sampler.window list
 (** Like {!run_scheme} with an attached {!Wp_obs.Sampler}: returns the
-    final statistics plus the windowed timeline.  [schedule] is passed
-    to {!Simulator.run_with_resizes} (default empty).  The window sums
-    reproduce the final statistics exactly — see {!Wp_obs.Sampler}. *)
+    final statistics plus the windowed timeline.  [schedule] is an OS
+    resize schedule as for {!Simulator.run_with_resizes} (default
+    empty).  The run takes the block-batched fast path, without
+    fast-forward: the sampler hears aggregate events and blocks that
+    could cross a window boundary are stepped per instruction, so the
+    windows are bit-identical to the per-instruction reference loop's,
+    and the window sums reproduce the final statistics exactly — see
+    {!Wp_obs.Sampler}. *)
 
 type comparison = {
   baseline : Stats.t;

@@ -8,13 +8,18 @@
     configured machines" protocol (Section 5).
 
     Two interchangeable replay loops exist.  The {e reference path}
-    retires one instruction at a time and is taken whenever a probe is
-    attached, a resize schedule is present, or [reference_only] is
-    requested.  The {e fast path} replays precompiled same-line runs
-    block-batched ({!Compiled_trace}, {!Fetch_engine.fetch_run}) and is
-    taken otherwise.  Both produce exactly equal {!Stats.t}
-    ({!Stats.equal}, bit-identical energy) — an invariant enforced by
-    the differential fuzzer ([Check.Differ]) and [test_fastpath]. *)
+    retires one instruction at a time and is taken whenever a general
+    probe is attached or [reference_only] is requested.  The {e fast
+    path} replays precompiled same-line runs block-batched
+    ({!Compiled_trace}, {!Fetch_engine.fetch_run}) and is taken
+    otherwise — also under a {!Wp_obs.Sampler} or a resize schedule,
+    which become breakpoints: resizes apply between blocks, and a block
+    that could reach the sampler's next window boundary is stepped
+    through the reference loop's per-instruction body.  Both produce
+    exactly equal {!Stats.t} ({!Stats.equal}, bit-identical energy),
+    and a sampler builds bit-identical windows on either — invariants
+    enforced by the differential fuzzer ([Check.Differ]),
+    [test_fastpath] and [test_obs]. *)
 
 val code_base : Wp_isa.Addr.t
 (** Where program text is laid out (0x0001_0000). *)
@@ -35,6 +40,7 @@ val default_fastforward : unit -> bool
 
 val run_compiled :
   ?probe:Wp_obs.Probe.t ->
+  ?sampler:Wp_obs.Sampler.t ->
   ?schedule:(int * int) list ->
   ?reference_only:bool ->
   ?fastforward:bool ->
@@ -46,22 +52,30 @@ val run_compiled :
   Compiled_trace.t ->
   Stats.t
 (** The general entry point, replaying a precompiled trace (which
-    carries its program and layout).  Defaults: no probe, empty resize
-    schedule, fast path allowed.  The fast path is taken iff no probe
-    is attached, the schedule is empty and [reference_only] is false.
+    carries its program and layout).  Defaults: no probe, no sampler,
+    empty resize schedule, fast path allowed.  The fast path is taken
+    iff no [probe] is attached and [reference_only] is false.
 
-    On the fast path, converged hot loops are additionally
-    fast-forwarded ({!Steady_state}) when [fastforward] (default: the
-    {!set_fastforward_default} setting) is true; the result is
-    bit-identical either way.  [ff_policy] tunes the detector;
+    [probe] observes the full per-access event stream and forces the
+    reference loop.  [sampler] receives the run's events too (the
+    caller {!Wp_obs.Sampler.finish}es it), but on the fast path:
+    same-line tails arrive as aggregate events, and a block that
+    cannot reach the next window boundary retires as one event.  Its
+    windows are bit-identical to those the reference loop would build
+    (with [reference_only], it observes that loop).
+
+    On the fast path with no sampler and an empty schedule, converged
+    hot loops are additionally fast-forwarded ({!Steady_state}) when
+    [fastforward] (default: the {!set_fastforward_default} setting) is
+    true; the result is bit-identical either way.  [ff_policy] tunes the detector;
     [ff_report], if given, accumulates what the engine skipped;
     [snapshot_cache], if given, lets converged iterations be reused
     across regions, runs and sweep cells (keyed on the compiled
     trace's {!Compiled_trace.token} and the full config digest, so
-    reuse never crosses worlds).  All four are ignored on the
-    reference path.
-    @raise Invalid_argument if the config is invalid or the schedule is
-    not ascending. *)
+    reuse never crosses worlds).  All four are ignored under a
+    sampler, a schedule or the reference path.
+    @raise Invalid_argument if the config is invalid, the schedule is
+    not ascending, or both [probe] and [sampler] are given. *)
 
 val run :
   config:Config.t ->
@@ -97,7 +111,8 @@ val run_with_resizes :
     that block the way-placement area is resized (paper Section 4.1,
     "even adjusting it during program execution"; the caches are
     flushed at each resize).  Only meaningful for way-placement
-    configurations.  A non-empty schedule runs the reference path.
+    configurations.  Runs the batched fast path (without
+    fast-forward).
     @raise Invalid_argument if the config is invalid, the schedule is
     not ascending, or the scheme is not way-placement. *)
 
@@ -110,8 +125,9 @@ val run_probed :
   trace:Wp_workloads.Tracer.trace ->
   Stats.t
 (** {!run_with_resizes} with an attached probe observing the run's
-    full event stream (see {!Wp_obs.Probe}); attach a
-    {!Wp_obs.Sampler} to build a timeline.  Probed runs always take the
-    reference path; results are bit-identical with or without a probe —
-    an invariant the differential fuzzer checks across the scheme grid.
-    [schedule] may be empty. *)
+    full event stream (see {!Wp_obs.Probe}), one event per access.
+    Probed runs always take the reference path; results are
+    bit-identical with or without a probe — an invariant the
+    differential fuzzer checks across the scheme grid.  [schedule] may
+    be empty.  To build a timeline, pass a sampler to {!run_compiled}
+    (or use [Runner.run_timeline]) instead: that keeps the fast path. *)

@@ -47,8 +47,8 @@
    bit-identity argument as local convergence.
 
    Bail-out is structural or checked: the engine only runs on the
-   probe-less, schedule-less fast path (probes and resize schedules
-   force the reference loop); drowsy timers, stream cursors and RNG
+   unobserved fast path (probes force the reference loop, and a sampler
+   or resize schedule runs the batched loop without it); drowsy timers, stream cursors and RNG
    state are part of the fingerprint, so any cross-iteration
    interaction simply never fingerprints equal and the region is
    replayed normally. *)
@@ -555,6 +555,11 @@ let attempt d ~p ~je ~skippable ~until =
         match ev with
         | Wp_obs.Probe.Energy { bucket; pj } ->
             fbuf_push d.charges.(Wp_obs.Probe.bucket_index bucket) pj
+        | Wp_obs.Probe.Energy_run { bucket; pj; n } ->
+            let buf = d.charges.(Wp_obs.Probe.bucket_index bucket) in
+            for _ = 1 to n do
+              fbuf_push buf pj
+            done
         | _ -> ()
       in
       while (not !converged) && not !exhausted do

@@ -33,9 +33,10 @@
     compiled trace under the same configuration — skips from its first
     boundary without re-recording.
 
-    Bail-out conditions: the engine exists only on the probe-less,
-    schedule-less fast path (probes and resize schedules force the
-    reference loop upstream); within it, a region is simply replayed
+    Bail-out conditions: the engine exists only on the unobserved fast
+    path (a probe forces the reference loop upstream, and a sampler or
+    resize schedule runs the batched loop without fast-forward); within
+    it, a region is simply replayed
     normally when fingerprints never match (e.g. RNG-drawing data
     accesses or drowsy timers that break iteration symmetry), when the
     candidate pattern is stream-variant, or when the attempt/snapshot

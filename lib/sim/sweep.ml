@@ -318,9 +318,13 @@ let snapshot_cache t = t.snapshot_cache
 (* The runtime representation of a Config.t is pure immutable data
    (scalars, records, variants), so marshalling is a total, stable
    encoding of the whole value: every field participates, including
-   any added later. *)
+   any added later.  [No_sharing] makes it a function of the value
+   alone: with sharing, a config whose [icache] and [dcache] are one
+   physical geometry ([Config.xscale]) would encode differently from an
+   equal one holding two copies ([Config.with_icache]). *)
 let config_key (config : Config.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string config []))
+  Digest.to_hex
+    (Digest.string (Marshal.to_string config [ Marshal.No_sharing ]))
 
 let job_key job = job.benchmark ^ "|" ^ config_key job.config
 
@@ -390,10 +394,10 @@ let already_cached t job =
   match cell with Some { value = Some _; _ } -> true | _ -> false
 
 (* Timelines are not memoised: a sampler observes one specific run, so
-   the job is re-simulated with a probe attached.  The prepared
-   benchmark is shared with the stats cache, and the stats returned
-   here are bit-identical to [stats t job] — the probe-invariance the
-   differential fuzzer locks in. *)
+   the job is re-simulated (on the batched fast path) with a sampler
+   attached.  The prepared benchmark is shared with the stats cache,
+   and the stats returned here are bit-identical to [stats t job] — the
+   invariance the differential fuzzer locks in. *)
 let timeline ?schedule ?window_cycles t job =
   Runner.run_timeline ?schedule ?window_cycles (prepared t job.benchmark)
     job.config

@@ -144,6 +144,84 @@ let drowsy_configs =
 
 let test_drowsy spec () = List.iter (check_equiv spec) drowsy_configs
 
+(* --- observed runs: a sampler or a resize schedule ---------------- *)
+
+(* Both keep the batched loop: resizes apply between blocks, and only
+   the runs that could reach a window boundary are stepped through the
+   reference body.  The stats must still be the reference loop's, and
+   the sampler's windows those of a sampler fed one event per access
+   on the reference loop. *)
+module Sampler = Wayplace.Obs.Sampler
+
+let check_observed ?(schedule = []) ?window_cycles spec config =
+  let prep = prepare spec in
+  let trace = prep.Runner.trace_large in
+  let compiled = Runner.compiled_for prep config in
+  let name =
+    Printf.sprintf "%s / %s%s%s" spec.Spec.name
+      (Config.scheme_name config.Config.scheme)
+      (match window_cycles with
+      | Some w -> Printf.sprintf ", window %d" w
+      | None -> "")
+      (if schedule = [] then "" else ", resized")
+  in
+  let new_sampler () =
+    Option.map (fun window_cycles -> Sampler.create ~window_cycles ())
+      window_cycles
+  in
+  let reference_sampler = new_sampler () in
+  let reference =
+    Simulator.run_compiled
+      ?probe:(Option.map Sampler.probe reference_sampler)
+      ~reference_only:true ~schedule ~config ~trace compiled
+  in
+  let sampler = new_sampler () in
+  let fast =
+    Simulator.run_compiled ?sampler ~schedule ~config ~trace compiled
+  in
+  if not (Stats.equal fast reference) then
+    Alcotest.failf "%s: observed fast path diverges from reference:@ %a" name
+      Stats.pp_diff (fast, reference);
+  let bits =
+    List.map (fun (w : Sampler.window) ->
+        ( { w with Sampler.energy_pj = [||]; cum_energy_pj = [||] },
+          Array.map Int64.bits_of_float w.Sampler.energy_pj,
+          Array.map Int64.bits_of_float w.Sampler.cum_energy_pj ))
+  in
+  match (sampler, reference_sampler) with
+  | Some s, Some r ->
+      Alcotest.(check bool) (name ^ ": windows identical") true
+        (bits (Sampler.finish s) = bits (Sampler.finish r))
+  | _ -> ()
+
+let test_sampled spec () =
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun window_cycles ->
+          check_observed ~window_cycles spec (Config.xscale scheme))
+        [ 1; 7; 1024 ])
+    schemes
+
+(* Resizes at the very first and the very last block, plus one in the
+   middle: with no sampler the schedule alone takes the batched loop. *)
+let test_resized spec () =
+  let n =
+    Array.length (prepare spec).Runner.trace_large.Wayplace.Workloads.Tracer.blocks
+  in
+  let schedule = [ (0, 1024); (n / 2, 4096); (n - 1, 2048) ] in
+  List.iter
+    (fun area_bytes ->
+      let config = Config.xscale (Config.Way_placement { area_bytes }) in
+      check_observed ~schedule spec config;
+      check_observed ~schedule ~window_cycles:64 spec config)
+    [ 2048; 16 * 1024 ]
+
+let test_sampled_drowsy spec () =
+  List.iter
+    (fun config -> check_observed ~window_cycles:97 spec config)
+    drowsy_configs
+
 (* --- plan memo: concurrent first-request dedup -------------------- *)
 
 module Compiled_trace = Wayplace.Sim.Compiled_trace
@@ -222,6 +300,19 @@ let () =
           Alcotest.test_case "straddle: leakage, drowsy on/off" `Quick
             (test_drowsy straddle);
         ] );
+      ( "observed",
+        List.map
+          (fun spec ->
+            Alcotest.test_case (spec.Spec.name ^ ": sampled") `Quick
+              (test_sampled spec))
+          kernels
+        @ [
+            Alcotest.test_case "streaks: resized" `Quick (test_resized streaks);
+            Alcotest.test_case "straddle: resized" `Quick
+              (test_resized straddle);
+            Alcotest.test_case "streaks: sampled drowsy" `Quick
+              (test_sampled_drowsy streaks);
+          ] );
       ( "plan memo",
         [
           Alcotest.test_case "concurrent first request dedups" `Quick

@@ -44,6 +44,71 @@ let test_finish_idempotent () =
   Alcotest.(check int) "one window" 1 (List.length a);
   Alcotest.(check bool) "idempotent" true (a = b)
 
+(* Aggregate events count exactly what their unrolled form counts, and
+   an energy run is replayed addition by addition (0.1 is not exact in
+   binary, so [n *. pj] would differ from [n] additions). *)
+let test_aggregate_events () =
+  let run events =
+    let s = Sampler.create ~window_cycles:10 () in
+    let p = Sampler.probe s in
+    List.iter p events;
+    p (Probe.Retire { cycles = 3; instrs = 3 });
+    p (Probe.Retire { cycles = 12; instrs = 4 });
+    Sampler.finish s
+  in
+  let unrolled =
+    run
+      (List.init 7 (fun _ -> Probe.Fetch Probe.Same_line)
+      @ List.init 7 (fun _ -> Probe.Energy { bucket = Probe.Icache; pj = 0.1 }))
+  in
+  let aggregate =
+    run
+      [
+        Probe.Fetches { kind = Probe.Same_line; n = 7 };
+        Probe.Energy_run { bucket = Probe.Icache; pj = 0.1; n = 7 };
+      ]
+  in
+  let bits (w : Sampler.window) =
+    ( { w with Sampler.energy_pj = [||]; cum_energy_pj = [||] },
+      Array.map Int64.bits_of_float w.Sampler.energy_pj,
+      Array.map Int64.bits_of_float w.Sampler.cum_energy_pj )
+  in
+  Alcotest.(check bool) "same windows, energy bit for bit" true
+    (List.map bits unrolled = List.map bits aggregate);
+  Alcotest.(check bool) "not the product" false
+    ((List.hd aggregate).Sampler.energy_pj.(Probe.bucket_index Probe.Icache)
+    = 7.0 *. 0.1)
+
+(* A probed engine reports a same-line run's elided tail as one
+   [Fetches] and one [Energy_run]. *)
+let test_fetch_run_aggregates () =
+  let events = ref [] in
+  let probe ev = events := ev :: !events in
+  let config = Config.xscale Config.Baseline in
+  let engine =
+    Wayplace.Sim.Fetch_engine.create ~probe config
+      ~code_base:Wayplace.Sim.Simulator.code_base
+  in
+  let stats = Stats.create () in
+  Wayplace.Energy.Account.set_probe stats.Stats.account (Some probe);
+  ignore
+    (Wayplace.Sim.Fetch_engine.fetch_run engine stats
+       Wayplace.Sim.Simulator.code_base ~n:8);
+  let tail_fetches =
+    List.filter_map
+      (function
+        | Probe.Fetches { kind = Probe.Same_line; n } -> Some n | _ -> None)
+      !events
+  in
+  let tail_energy =
+    List.filter_map
+      (function Probe.Energy_run { n; _ } -> Some n | _ -> None)
+      !events
+  in
+  Alcotest.(check (list int)) "one Fetches for the tail" [ 7 ] tail_fetches;
+  Alcotest.(check (list int)) "one Energy_run for the tail" [ 7 ] tail_energy;
+  Alcotest.(check int) "stats count every fetch" 8 stats.Stats.fetches
+
 let test_window_boundaries () =
   let stats, windows = timeline (Config.xscale Config.Baseline) in
   Alcotest.(check bool) "several windows" true (List.length windows > 3);
@@ -230,6 +295,209 @@ let test_resize_markers_in_right_windows () =
   Alcotest.(check bool) "marker cycles ordered" true
     (List.sort compare cycles = cycles)
 
+(* --- fast path = reference loop, window for window --- *)
+
+module Simulator = Wayplace.Sim.Simulator
+module Compiled_trace = Wayplace.Sim.Compiled_trace
+module Tracer = Wayplace.Workloads.Tracer
+
+(* The reference: the sampler attached as a plain probe, which forces
+   the per-instruction loop and feeds it one event per access. *)
+let reference_timeline ?(schedule = []) ~window_cycles prep config =
+  let sampler = Sampler.create ~window_cycles () in
+  let stats =
+    Simulator.run_compiled ~probe:(Sampler.probe sampler) ~schedule ~config
+      ~trace:prep.Runner.trace_large
+      (Runner.compiled_for prep config)
+  in
+  (stats, Sampler.finish sampler)
+
+let bits = Array.map Int64.bits_of_float
+
+(* Every field, energy bit for bit. *)
+let check_same_windows name ?schedule ~window_cycles prep config =
+  let fast_stats, fast =
+    Runner.run_timeline ?schedule ~window_cycles prep config
+  in
+  let ref_stats, reference =
+    reference_timeline ?schedule ~window_cycles prep config
+  in
+  if not (Stats.equal fast_stats ref_stats) then
+    Alcotest.failf "%s: stats differ:@ %a" name Stats.pp_diff
+      (fast_stats, ref_stats);
+  Alcotest.(check int) (name ^ ": window count") (List.length reference)
+    (List.length fast);
+  List.iter2
+    (fun (f : Sampler.window) (r : Sampler.window) ->
+      let strip (w : Sampler.window) =
+        { w with Sampler.energy_pj = [||]; cum_energy_pj = [||] }
+      in
+      let label = Printf.sprintf "%s: window %d" name r.Sampler.index in
+      Alcotest.(check bool) (label ^ " fields") true (strip f = strip r);
+      Alcotest.(check bool) (label ^ " energy bits") true
+        (bits f.Sampler.energy_pj = bits r.Sampler.energy_pj);
+      Alcotest.(check bool) (label ^ " cumulative energy bits") true
+        (bits f.Sampler.cum_energy_pj = bits r.Sampler.cum_energy_pj))
+    fast reference
+
+(* One reference retire per instruction, with what the instruction
+   was: its block position, opcode, pc, fetch kind, whether the fetch
+   missed, and the cumulative cycle count at its retire. *)
+type retired = {
+  k : int;  (** trace block index *)
+  i : int;  (** instruction index in the block *)
+  pc : int;
+  opcode : Wayplace.Isa.Opcode.t;
+  kind : Probe.fetch_kind;
+  miss : bool;
+  cycles : int;
+}
+
+let retire_log prep config =
+  let compiled = Runner.compiled_for prep config in
+  let starts = Compiled_trace.starts compiled in
+  let bodies = Compiled_trace.bodies compiled in
+  let blocks = prep.Runner.trace_large.Tracer.blocks in
+  let sites =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun k id ->
+              Array.mapi
+                (fun i (instr : Wayplace.Isa.Instr.t) ->
+                  ( k,
+                    i,
+                    starts.(id) + (Wayplace.Isa.Instr.size_bytes * i),
+                    instr.Wayplace.Isa.Instr.opcode ))
+                bodies.(id))
+            blocks))
+  in
+  let log = ref [] and n = ref 0 in
+  let kind = ref Probe.Same_line and miss = ref false in
+  let probe = function
+    | Probe.Fetch k ->
+        kind := k;
+        miss := false
+    | Probe.Icache_access { hit } -> miss := not hit
+    | Probe.Retire { cycles; _ } ->
+        let k, i, pc, opcode = sites.(!n) in
+        incr n;
+        log := { k; i; pc; opcode; kind = !kind; miss = !miss; cycles } :: !log
+    | _ -> ()
+  in
+  ignore
+    (Simulator.run_compiled ~probe ~config ~trace:prep.Runner.trace_large
+       compiled);
+  Array.of_list (List.rev !log)
+
+(* The first instruction (past the warm-up) satisfying [pick]. *)
+let find_site log pick =
+  let rec go j =
+    if j >= Array.length log - 1 then Alcotest.fail "no such instruction"
+    else if pick j then j
+    else go (j + 1)
+  in
+  go 100
+
+let base = Config.xscale Config.Baseline
+
+let test_boundary_mid_run () =
+  let prep = Lazy.force tiny_prep in
+  let log = retire_log prep base in
+  let line = base.Config.icache.Wayplace.Cache.Geometry.line_bytes in
+  let same_line a b =
+    log.(a).k = log.(b).k && log.(a).pc / line = log.(b).pc / line
+  in
+  let j =
+    find_site log (fun j ->
+        same_line (j - 1) j && same_line j (j + 1)
+        && log.(j).kind = Probe.Same_line)
+  in
+  (* the first boundary lands on instruction [j], inside a run *)
+  check_same_windows "boundary mid-run" ~window_cycles:log.(j).cycles prep base
+
+let test_boundary_on_missing_head () =
+  let prep = Lazy.force tiny_prep in
+  let log = retire_log prep base in
+  let j =
+    find_site log (fun j -> log.(j).kind = Probe.Full && log.(j).miss)
+  in
+  Alcotest.(check bool) "the miss stalls" true
+    (log.(j).cycles - log.(j - 1).cycles > 1);
+  (* the boundary falls inside the head's miss stall *)
+  check_same_windows "boundary on a missing run head"
+    ~window_cycles:(log.(j - 1).cycles + 1)
+    prep base
+
+let test_mispredict_crosses_boundary () =
+  let prep = Lazy.force tiny_prep in
+  let log = retire_log prep base in
+  let penalty = base.Config.mispredict_penalty in
+  let j =
+    find_site log (fun j ->
+        log.(j).opcode = Wayplace.Isa.Opcode.Branch
+        && log.(j).kind = Probe.Same_line
+        && log.(j).cycles - log.(j - 1).cycles = 1 + penalty)
+  in
+  (* the boundary falls inside the branch's mispredict penalty *)
+  check_same_windows "mispredict penalty across a boundary"
+    ~window_cycles:(log.(j - 1).cycles + 2)
+    prep base
+
+let test_resize_first_and_last_block () =
+  let prep = Lazy.force tiny_prep in
+  let n = Array.length prep.Runner.trace_large.Tracer.blocks in
+  let schedule = [ (0, 2048); (n / 2, 4096); (n - 1, 8192) ] in
+  List.iter
+    (fun window_cycles ->
+      check_same_windows
+        (Printf.sprintf "resizes at blocks 0 and %d, window %d" (n - 1)
+           window_cycles)
+        ~schedule ~window_cycles prep (Config.xscale wp16))
+    [ 7; 2048 ];
+  let _stats, windows =
+    Runner.run_timeline ~schedule ~window_cycles:2048 prep (Config.xscale wp16)
+  in
+  let resizes =
+    List.concat_map
+      (fun (w : Sampler.window) ->
+        List.filter_map
+          (function
+            | Sampler.Resize { area_bytes; _ } -> Some area_bytes
+            | Sampler.Flush _ | Sampler.Switch _ -> None)
+          w.Sampler.markers)
+      windows
+  in
+  Alcotest.(check (list int)) "every resize marked" [ 2048; 4096; 8192 ] resizes
+
+let drowsy =
+  Config.with_drowsy (Config.with_leakage (Config.xscale Config.Baseline) true)
+    (Some 64)
+
+let test_drowsy_windows () =
+  let prep = Lazy.force tiny_prep in
+  List.iter
+    (fun window_cycles ->
+      check_same_windows
+        (Printf.sprintf "drowsy, window %d" window_cycles)
+        ~window_cycles prep drowsy)
+    [ 1; 97; 2048 ]
+
+let test_window_of_one_cycle () =
+  let prep = Lazy.force tiny_prep in
+  List.iter
+    (fun scheme ->
+      check_same_windows
+        (Config.scheme_name scheme ^ ", window 1")
+        ~window_cycles:1 prep (Config.xscale scheme))
+    [
+      Config.Baseline;
+      wp16;
+      Config.Way_memoization;
+      Config.Way_prediction;
+      Config.Filter_cache { l0_bytes = 512 };
+    ]
+
 (* --- CSV export --- *)
 
 let test_timeline_csv_shape () =
@@ -327,6 +595,9 @@ let () =
         [
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "finish idempotent" `Quick test_finish_idempotent;
+          Alcotest.test_case "aggregate events" `Quick test_aggregate_events;
+          Alcotest.test_case "fetch_run aggregates its tail" `Quick
+            test_fetch_run_aggregates;
           Alcotest.test_case "window boundaries" `Quick test_window_boundaries;
           Alcotest.test_case "conservation: baseline" `Quick
             test_conservation_baseline;
@@ -338,6 +609,19 @@ let () =
             test_probe_leaves_stats_identical;
           Alcotest.test_case "resize markers" `Quick
             test_resize_markers_in_right_windows;
+        ] );
+      ( "windows",
+        [
+          Alcotest.test_case "boundary mid-run" `Quick test_boundary_mid_run;
+          Alcotest.test_case "boundary on a missing run head" `Quick
+            test_boundary_on_missing_head;
+          Alcotest.test_case "mispredict penalty across a boundary" `Quick
+            test_mispredict_crosses_boundary;
+          Alcotest.test_case "resize at the first and last block" `Quick
+            test_resize_first_and_last_block;
+          Alcotest.test_case "drowsy" `Quick test_drowsy_windows;
+          Alcotest.test_case "window_cycles = 1" `Quick
+            test_window_of_one_cycle;
         ] );
       ( "export",
         [

@@ -599,9 +599,9 @@ let test_drowsy_crossing () =
     [ 16; 64; 256; 4096 ]
 
 let test_resize_schedule_bails () =
-  (* Resize schedules force the reference loop, so the fast-forward
-     default must be irrelevant — including a resize index landing
-     exactly where a loop iteration would have been skipped. *)
+  (* Fast-forward stays off under a resize schedule, so the
+     fast-forward default must be irrelevant — including a resize index
+     landing exactly where a loop iteration would have been skipped. *)
   let prep = prepare loop_kernel in
   let config = Config.xscale (Config.Way_placement { area_bytes = 2048 }) in
   let schedule = [ (100, 4096); (20_000, 2048) ] in

@@ -45,6 +45,29 @@ let test_config_key_covers_all_fields () =
   Alcotest.(check bool) "filter L0 size participates" false
     (Sweep.config_key (filter 512) = Sweep.config_key (filter 1024))
 
+(* Equal configs must key equally whatever their sharing: [xscale]
+   builds [icache] and [dcache] as one physical geometry, [with_icache]
+   of an equal geometry makes them two.  Keyed with Marshal's sharing
+   on, the figure grids simulated such cells twice. *)
+let test_config_key_ignores_sharing () =
+  List.iter
+    (fun scheme ->
+      let shared = Config.xscale scheme in
+      let copied =
+        Config.with_icache (Config.xscale scheme)
+          (Config.xscale scheme).Config.icache
+      in
+      Alcotest.(check bool) "xscale shares its geometry" true
+        (shared.Config.icache == shared.Config.dcache);
+      Alcotest.(check bool) "with_icache copy does not" false
+        (copied.Config.icache == copied.Config.dcache);
+      Alcotest.(check bool) "structurally equal" true (shared = copied);
+      Alcotest.(check string) "equal configs, equal keys"
+        (Sweep.config_key shared) (Sweep.config_key copied);
+      Alcotest.(check int) "dedup keeps one" 1
+        (List.length (Sweep.dedup [ job "crc" shared; job "crc" copied ])))
+    [ Config.Baseline; wp16 ]
+
 let test_dedup () =
   let a = job "crc" (Config.xscale wp16) in
   let b = job "crc" (Config.xscale Config.Baseline) in
@@ -277,6 +300,8 @@ let () =
           Alcotest.test_case "job key" `Quick test_job_key_stable_and_distinct;
           Alcotest.test_case "config key completeness" `Quick
             test_config_key_covers_all_fields;
+          Alcotest.test_case "config key ignores sharing" `Quick
+            test_config_key_ignores_sharing;
           Alcotest.test_case "dedup" `Quick test_dedup;
           Alcotest.test_case "with_baselines" `Quick test_with_baselines;
         ] );
