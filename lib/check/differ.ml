@@ -659,22 +659,28 @@ let mp_partner_spec =
   }
 
 let check_mp_identity ~where spec (config : Config.t) (cell : Stats.t) =
-  match Mp.run ~config ~options:Mp.oracle_options (Mix.of_specs [ spec ]) with
-  | exception exn ->
-      [
-        Printf.sprintf "%s: mp identity run raised: %s" where
-          (Printexc.to_string exn);
-      ]
-  | r ->
-      if Stats.equal r.Mp.aggregate cell then []
-      else
-        [
-          Printf.sprintf
-            "%s: mp infinite-quantum single-process run diverges from \
-             Simulator.run: %s"
-            where
-            (Format.asprintf "%a" Stats.pp_diff (r.Mp.aggregate, cell));
-        ]
+  List.concat_map
+    (fun (path, reference_only) ->
+      match
+        Mp.run ~reference_only ~config ~options:Mp.oracle_options
+          (Mix.of_specs [ spec ])
+      with
+      | exception exn ->
+          [
+            Printf.sprintf "%s: mp identity run (%s) raised: %s" where path
+              (Printexc.to_string exn);
+          ]
+      | r ->
+          if Stats.equal r.Mp.aggregate cell then []
+          else
+            [
+              Printf.sprintf
+                "%s: mp infinite-quantum single-process run (%s) diverges \
+                 from Simulator.run: %s"
+                where path
+                (Format.asprintf "%a" Stats.pp_diff (r.Mp.aggregate, cell));
+            ])
+    [ ("fast path", false); ("reference path", true) ]
 
 let mp_int_conservation ~where (r : Mp.result) =
   let sum = Array.map (fun _ -> 0) (Stats.snapshot_ints r.Mp.aggregate) in
@@ -936,7 +942,8 @@ let check_spec ?(geometries = default_geometries) spec =
                             (tight_latencies config)
                         else []
                       else [])
-                   (* the mp identity oracle holds for every cell; the
+                   (* the mp identity oracle holds for every cell, on
+                      both mp paths; the
                       full time-sliced agreement (fast = reference =
                       probed, conservation) costs three extra mp runs,
                       so first geometry, baseline + wayplace only *)

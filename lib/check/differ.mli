@@ -39,9 +39,10 @@
       resize schedule (at block 0, two interior blocks and the last),
       and on a tight-latency variant whose bounds have little slack;
     - {b multiprogramming laws} — an infinite-quantum, kernel-free
-      single-process {!Wp_mp.Machine} run is [Stats.equal] to the
-      cell's own [Simulator.run] (the mp identity oracle, every cell of
-      the first geometry); under real time-slicing against a fixed
+      single-process {!Wp_mp.Machine} run, on the fast path and on the
+      reference path alike, is [Stats.equal] to the cell's own
+      [Simulator.run] (the mp identity oracle, every cell of the first
+      geometry); under real time-slicing against a fixed
       cache-polluting partner, the mp fast path, the mp reference loop
       and a probed replay agree bit-for-bit per process and in
       aggregate, per-process counters sum to the aggregate exactly, and

@@ -2,11 +2,10 @@ module Config = Wp_sim.Config
 module Stats = Wp_sim.Stats
 module Simulator = Wp_sim.Simulator
 module Steady_state = Wp_sim.Steady_state
-module Snapshot_cache = Wp_sim.Snapshot_cache
 module Compiled_trace = Wp_sim.Compiled_trace
 module Fetch_engine = Wp_sim.Fetch_engine
+module Block_exec = Wp_sim.Block_exec
 module Dmem = Wp_sim.Dmem
-module Data_stream = Wp_sim.Data_stream
 module Account = Wp_energy.Account
 module Btb = Wp_pipeline.Btb
 module Tracer = Wp_workloads.Tracer
@@ -67,54 +66,33 @@ let switches_per_million r =
     /. float_of_int r.aggregate.Stats.retired_instrs
 
 (* One process's share of the machine: its compiled image at a private
-   base address, its own data stream and [Stats.t], and its scheduling
-   state.  The interrupt kernel reuses the same record (charging into
-   the system stats) so both run through the same execution paths. *)
+   base address, replayed with its own data stream, [Stats.t] and
+   counters, and its scheduling state.  The interrupt kernel reuses the
+   same record (charging into the system stats) so both run through the
+   same execution paths. *)
 type proc_state = {
   pname : string;
   placed : bool;  (** effective: mix flag && way-placement scheme *)
   priority : int;
   base : Wp_isa.Addr.t;
   warea : int;  (** way-placed window bytes at [base]; 0 if unplaced *)
-  token : int;  (** this process's {!Compiled_trace.token} *)
-  trace_blocks : int array;
-  info : Compiled_trace.block_info array;
-  plan : Compiled_trace.plan;
-  starts : int array;
-  bodies : Wp_isa.Instr.t array array;
-  taken_succs : int array;
-  data : Data_stream.t;
-  stats : Stats.t;
+  tr : Block_exec.trace;
   mutable k : int;  (** next trace position *)
-  mutable cycles : int;
-  mutable instrs : int;
   mutable dispatches : int;
 }
 
 let align_up n ~quantum = (n + quantum - 1) / quantum * quantum
 
-let proc_state_of_compiled (config : Config.t) ~pname ~placed ~priority ~base
-    ~warea ~(trace : Tracer.trace) ~seed ~stats compiled =
+let proc_state config ~pname ~placed ~priority ~base ~warea ~trace ~stats
+    compiled =
   {
     pname;
     placed;
     priority;
     base;
     warea;
-    token = Compiled_trace.token compiled;
-    trace_blocks = trace.Tracer.blocks;
-    info = Compiled_trace.info compiled;
-    plan =
-      Compiled_trace.plan compiled
-        ~line_bytes:config.icache.Wp_cache.Geometry.line_bytes;
-    starts = Compiled_trace.starts compiled;
-    bodies = Compiled_trace.bodies compiled;
-    taken_succs = Compiled_trace.taken_succs compiled;
-    data = Data_stream.create ~seed:(seed lxor 0xDA7A);
-    stats;
+    tr = Block_exec.trace config ~stats trace compiled;
     k = 0;
-    cycles = 0;
-    instrs = 0;
     dispatches = 0;
   }
 
@@ -149,20 +127,9 @@ let prepare_proc (config : Config.t) ~base (p : Mix.proc) =
     if code > warea then code else warea
   in
   let next_base = align_up (base + footprint) ~quantum:config.page_bytes in
-  ( proc_state_of_compiled config ~pname:p.Mix.pname ~placed
-      ~priority:p.Mix.priority ~base ~warea ~trace
-      ~seed:spec.Wp_workloads.Spec.seed ~stats:(Stats.create ()) compiled,
+  ( proc_state config ~pname:p.Mix.pname ~placed ~priority:p.Mix.priority ~base
+      ~warea ~trace ~stats:(Stats.create ()) compiled,
     next_base )
-
-(* One process's fast-forward state: the resumable detector plus the
-   process-lifetime cycle/instruction accumulators its skips land in
-   (reconciled into the machine counters after every quantum). *)
-type ff_state = {
-  drv : Steady_state.driver;
-  c : int ref;  (** = [p.cycles] between quanta; runs ahead inside one *)
-  ins : int ref;  (** likewise for [p.instrs] *)
-  q_base : int ref;  (** [!c] at the current quantum's dispatch *)
-}
 
 let run ?probe ?(reference_only = false) ?fastforward
     ?(ff_policy = Steady_state.default_policy) ?ff_report ?snapshot_cache
@@ -204,24 +171,20 @@ let run ?probe ?(reference_only = false) ?fastforward
             0
       in
       Some
-        (proc_state_of_compiled config ~pname:"kernel" ~placed:(warea > 0)
-           ~priority:0 ~base:Kernel.base ~warea ~trace:k.Kernel.trace
-           ~seed:Kernel.spec.Wp_workloads.Spec.seed ~stats:system k.Kernel.compiled)
+        (proc_state config ~pname:"kernel" ~placed:(warea > 0) ~priority:0
+           ~base:Kernel.base ~warea ~trace:k.Kernel.trace ~stats:system
+           k.Kernel.compiled)
     end
   in
   (match probe with
   | None -> ()
   | Some p ->
       Array.iter
-        (fun st -> Account.set_probe st.stats.Stats.account (Some p))
+        (fun st -> Account.set_probe st.tr.stats.Stats.account (Some p))
         procs;
       Account.set_probe system.Stats.account (Some p));
-  let engine = Fetch_engine.create ?probe config ~code_base:Simulator.code_base in
-  let dmem = Dmem.create ?probe config in
-  let btb = Btb.create ~entries:config.btb_entries in
-  let mispredict_penalty = config.mispredict_penalty in
-  let m_cycles = ref 0 in
-  let m_instrs = ref 0 in
+  let m = Block_exec.machine ?probe ~code_base:Simulator.code_base config in
+  let engine = m.engine in
   let switches = ref 0 in
   let kernel_runs = ref 0 in
   let timer_fires = ref 0 in
@@ -242,132 +205,16 @@ let run ?probe ?(reference_only = false) ?fastforward
       clock := st
     end
   in
-  (* One trace position on the block-batched fast path — the exact
-     per-block effect sequence of [Simulator]'s [run_fast], with the
-     cycle delta returned so the scheduler can charge the quantum. *)
-  let exec_block_fast (p : proc_state) k =
-    let id = p.trace_blocks.(k) in
-    let b = p.info.(id) in
-    let pb = p.plan.(id) in
-    let runs = pb.Compiled_trace.runs in
-    let run_cycles = pb.Compiled_trace.run_cycles in
-    let mem = b.Compiled_trace.mem in
-    let n_mem = Array.length mem in
-    let pc = ref b.Compiled_trace.start in
-    let off = ref 0 in
-    let mi = ref 0 in
-    let delta = ref 0 in
-    for r = 0 to Array.length runs - 1 do
-      let len = runs.(r) in
-      let fetch_stall = Fetch_engine.fetch_run engine p.stats !pc ~n:len in
-      delta := !delta + run_cycles.(r) + fetch_stall;
-      let run_end = !off + len in
-      while !mi < n_mem && mem.(!mi).Compiled_trace.pos < run_end do
-        let m = mem.(!mi) in
-        delta :=
-          !delta
-          + Dmem.access dmem p.stats
-              (Data_stream.next p.data m.Compiled_trace.locality)
-              ~write:m.Compiled_trace.write;
-        incr mi
-      done;
-      off := run_end;
-      pc := !pc + (len * Wp_isa.Instr.size_bytes)
-    done;
-    if b.Compiled_trace.term_branch then begin
-      let taken =
-        k + 1 < Array.length p.trace_blocks
-        && p.trace_blocks.(k + 1) = b.Compiled_trace.taken_succ
-      in
-      let predicted = Btb.predict_taken btb b.Compiled_trace.term_pc in
-      Btb.update btb b.Compiled_trace.term_pc ~taken;
-      if predicted <> taken then delta := !delta + mispredict_penalty
-    end;
-    m_cycles := !m_cycles + !delta;
-    m_instrs := !m_instrs + b.Compiled_trace.n_instrs;
-    p.instrs <- p.instrs + b.Compiled_trace.n_instrs;
-    !delta
+  (* One trace position, on the block-batched body or — probed and
+     reference runs — stepped through one machine-wide core, whose
+     cumulative [Retire] events drive the sampler clock. *)
+  let core = if reference then Some (Block_exec.core ?probe m) else None in
+  let exec_block (p : proc_state) k =
+    match core with
+    | None -> Block_exec.exec m p.tr k ~limit:max_int
+    | Some core -> Block_exec.step m p.tr core k ~from:0
   in
-  (* The per-instruction reference twin (probed runs always take it):
-     the same retire-cycle formula as [Core_model.retire], against the
-     machine-shared BTB, with cumulative machine-wide [Retire] events
-     driving the sampler clock. *)
-  let exec_block_ref (p : proc_state) k =
-    let id = p.trace_blocks.(k) in
-    let start = p.starts.(id) in
-    let body = p.bodies.(id) in
-    let nb = Array.length body in
-    let nblocks = Array.length p.trace_blocks in
-    let delta = ref 0 in
-    for i = 0 to nb - 1 do
-      let pc = start + (i * Wp_isa.Instr.size_bytes) in
-      let fetch_stall = Fetch_engine.fetch engine p.stats pc in
-      let instr = body.(i) in
-      let opcode = instr.Wp_isa.Instr.opcode in
-      let dmem_stall =
-        match opcode with
-        | Wp_isa.Opcode.Load ->
-            Dmem.access dmem p.stats
-              (Data_stream.next p.data instr.Wp_isa.Instr.locality)
-              ~write:false
-        | Wp_isa.Opcode.Store ->
-            Dmem.access dmem p.stats
-              (Data_stream.next p.data instr.Wp_isa.Instr.locality)
-              ~write:true
-        | Wp_isa.Opcode.Alu _ | Mac | Branch | Jump | Call | Return | Nop -> 0
-      in
-      let branch_penalty =
-        match opcode with
-        | Wp_isa.Opcode.Branch ->
-            let taken =
-              i = nb - 1
-              && k + 1 < nblocks
-              && p.trace_blocks.(k + 1) = p.taken_succs.(id)
-            in
-            let predicted = Btb.predict_taken btb pc in
-            Btb.update btb pc ~taken;
-            if predicted <> taken then mispredict_penalty else 0
-        | Jump | Call | Return | Alu _ | Mac | Load | Store | Nop -> 0
-      in
-      let instr_cycles =
-        1 + fetch_stall + dmem_stall
-        + (Wp_isa.Opcode.execute_latency opcode - 1)
-        + branch_penalty
-      in
-      delta := !delta + instr_cycles;
-      m_cycles := !m_cycles + instr_cycles;
-      m_instrs := !m_instrs + 1;
-      (match probe with
-      | None -> ()
-      | Some pr ->
-          pr (Probe.Retire { cycles = !m_cycles; instrs = !m_instrs }))
-    done;
-    p.instrs <- p.instrs + nb;
-    !delta
-  in
-  let exec_block p k =
-    let delta = if reference then exec_block_ref p k else exec_block_fast p k in
-    p.cycles <- p.cycles + delta;
-    delta
-  in
-  let finished p = p.k >= Array.length p.trace_blocks in
-  (* Run [p] until its trace ends or the quantum expires (checked at
-     block boundaries — the block cycle deltas are identical on both
-     execution paths, so scheduling decisions are too). *)
-  let run_quantum (p : proc_state) =
-    p.dispatches <- p.dispatches + 1;
-    let used = ref 0 in
-    let continue = ref true in
-    while !continue do
-      used := !used + exec_block p p.k;
-      p.k <- p.k + 1;
-      if finished p then continue := false
-      else if !used >= quantum then begin
-        incr timer_fires;
-        continue := false
-      end
-    done
-  in
+  let finished p = p.k >= Array.length p.tr.blocks in
   (* Steady-state fast-forward on the fast path, one resumable driver
      per user process (the kernel trace is short and replays whole —
      not worth detecting).  Same bail-out structure as [Simulator]:
@@ -379,104 +226,53 @@ let run ?probe ?(reference_only = false) ?fastforward
     | Some b -> b
     | None -> Simulator.default_fastforward ()
   in
-  let ff_report_v =
+  let report =
     match ff_report with Some r -> r | None -> Steady_state.create_report ()
   in
-  let config_digest =
-    lazy (Digest.string (Marshal.to_string config [ Marshal.No_sharing ]))
+  (* The running process's cycle count at its dispatch. *)
+  let q_base = ref 0 in
+  (* A skip may never cross the quantum boundary: the reference loop
+     would have taken the timer interrupt mid-iteration, so cap skips at
+     [quantum - 1 - used] cycles and let the blocks around the expiry
+     execute one by one — switch points land on exactly the reference
+     loop's block boundaries. *)
+  let headroom (p : proc_state) () =
+    quantum - 1 - (!(p.tr.cycles) - !q_base)
   in
-  let make_ff (p : proc_state) =
-    let c = ref 0 and ins = ref 0 in
-    let q_base = ref 0 in
-    let info = p.info in
-    let blocks = p.trace_blocks in
-    let ctx =
-      {
-        Steady_state.policy = ff_policy;
-        report = ff_report_v;
-        stats = p.stats;
-        blocks;
-        n_ids = Array.length info;
-        n_instrs_of = (fun id -> info.(id).Compiled_trace.n_instrs);
-        stream_invariant =
-          (fun ~start ~period ->
-            let seq = ref 0 and stride = ref 0 and rand = ref 0 in
-            for j = start to start + period - 1 do
-              let b = info.(blocks.(j)) in
-              seq := !seq + b.Compiled_trace.seq_bytes;
-              stride := !stride + b.Compiled_trace.stride_bytes;
-              rand := !rand + b.Compiled_trace.n_random
-            done;
-            Data_stream.advance_invariant ~seq_bytes:!seq ~stride_bytes:!stride
-              ~n_random:!rand);
-        fingerprint =
-          (fun ~start ~period ~add ->
-            (* The drowsy clock is the charging process's fetch counter
-               — exactly [p.stats] for the whole quantum. *)
-            Fetch_engine.fingerprint engine ~now:p.stats.Stats.fetches ~add;
-            let period_mem = ref 0 in
-            for j = start to start + period - 1 do
-              period_mem :=
-                !period_mem + Array.length info.(blocks.(j)).Compiled_trace.mem
-            done;
-            if !period_mem > 0 then begin
-              Dmem.fingerprint dmem ~add;
-              Data_stream.fingerprint p.data ~add
-            end;
-            Btb.fingerprint btb ~add);
-        exec =
-          (fun k ->
-            c := !c + exec_block p k;
-            ins := !ins + info.(blocks.(k)).Compiled_trace.n_instrs);
-        set_awake_recorder = Fetch_engine.set_drowsy_recorder engine;
-        drowsy_advance =
-          (fun ~since ~delta ->
-            Fetch_engine.drowsy_advance_touched engine ~since ~delta);
-        drowsy_replay =
-          (fun a ~len ~iters ->
-            Fetch_engine.drowsy_replay_awake engine a ~len ~iters);
-        cycles = c;
-        instrs = ins;
-        cache = snapshot_cache;
-        cache_scope =
-          (match snapshot_cache with
-          | None -> ""
-          | Some _ ->
-              Printf.sprintf "%d/%s" p.token (Lazy.force config_digest));
-        (* A skip may never cross the quantum boundary: the reference
-           loop would have taken the timer interrupt mid-iteration, so
-           cap skips at [quantum - 1 - used] cycles and let the blocks
-           around the expiry execute one by one — switch points land on
-           exactly the reference loop's block boundaries. *)
-        cycle_headroom = Some (fun () -> quantum - 1 - (!c - !q_base));
-      }
-    in
-    { drv = Steady_state.make ctx; c; ins; q_base }
+  let ff =
+    if not ff_enabled then [||]
+    else
+      Array.map
+        (fun p ->
+          Steady_state.make
+            (Block_exec.ff_ctx m p.tr ~config ~policy:ff_policy ~report
+               ~cache:snapshot_cache ~cycle_headroom:(Some (headroom p))))
+        procs
   in
-  let ff = if ff_enabled then Array.map make_ff procs else [||] in
-  (* The fast-forward twin of [run_quantum]: the driver executes blocks
-     through [exec_block] (so the machine counters see them normally)
-     and lands skipped iterations in [c]/[ins] only — the difference
-     against [p.cycles]/[p.instrs] after the slice is exactly what the
-     skips added, reconciled here into the machine totals. *)
-  let run_quantum_ff (p : proc_state) (f : ff_state) =
-    p.dispatches <- p.dispatches + 1;
-    Steady_state.reawaken f.drv;
-    f.q_base := !(f.c);
-    let until () = !(f.c) - !(f.q_base) >= quantum in
-    Steady_state.advance f.drv ~until;
-    p.k <- Steady_state.pos f.drv;
-    let skipped_cycles = !(f.c) - p.cycles in
-    let skipped_instrs = !(f.ins) - p.instrs in
-    m_cycles := !m_cycles + skipped_cycles;
-    m_instrs := !m_instrs + skipped_instrs;
-    p.cycles <- !(f.c);
-    p.instrs <- !(f.ins);
-    if not (finished p) then incr timer_fires
-  in
+  (* Run process [i] until its trace ends or the quantum expires
+     (checked at block boundaries — the block cycle deltas are
+     identical on both execution paths, so scheduling decisions are
+     too).  The fast-forward driver executes blocks through the same
+     batched body and lands skipped iterations in the same counters. *)
   let run_slice i =
-    if Array.length ff = 0 then run_quantum procs.(i)
-    else run_quantum_ff procs.(i) ff.(i)
+    let p = procs.(i) in
+    p.dispatches <- p.dispatches + 1;
+    q_base := !(p.tr.cycles);
+    let until () = !(p.tr.cycles) - !q_base >= quantum in
+    if Array.length ff = 0 then begin
+      let continue = ref true in
+      while !continue do
+        exec_block p p.k;
+        p.k <- p.k + 1;
+        continue := not (finished p || until ())
+      done
+    end
+    else begin
+      Steady_state.reawaken ff.(i);
+      Steady_state.advance ff.(i) ~until;
+      p.k <- Steady_state.pos ff.(i)
+    end;
+    if not (finished p) then incr timer_fires
   in
   (* The interrupt handler: replay the whole kernel trace into the
      system stats.  The kernel is mapped in every address space, so no
@@ -488,7 +284,7 @@ let run ?probe ?(reference_only = false) ?fastforward
     Fetch_engine.set_window engine ~base:ks.base ~area_bytes:ks.warea;
     ks.k <- 0;
     while not (finished ks) do
-      ignore (exec_block ks ks.k);
+      exec_block ks ks.k;
       ks.k <- ks.k + 1
     done;
     ks.dispatches <- ks.dispatches + 1;
@@ -526,20 +322,20 @@ let run ?probe ?(reference_only = false) ?fastforward
          are physical and deliberately survive so processes pollute
          each other's ways. *)
       Fetch_engine.flush_tlb engine;
-      Dmem.flush_tlb dmem;
+      Dmem.flush_tlb m.dmem;
       (match options.btb_policy with
-      | Btb_flush -> Btb.reset btb
+      | Btb_flush -> Btb.reset m.btb
       | Btb_shared -> ());
       match probe with
       | None -> ()
       | Some p -> p (Probe.Context_switch { next = i })
     end;
-    drowsy_switch_to procs.(i).stats;
+    drowsy_switch_to procs.(i).tr.stats;
     Fetch_engine.set_window engine ~base:procs.(i).base
       ~area_bytes:procs.(i).warea
   in
   let cur = ref (pick ~cur:(n - 1)) in
-  clock := procs.(!cur).stats;
+  clock := procs.(!cur).tr.stats;
   dispatch !cur ~switched:false;
   let running = ref true in
   while !running do
@@ -554,22 +350,14 @@ let run ?probe ?(reference_only = false) ?fastforward
         Option.iter run_kernel kernel;
         if next <> !cur then dispatch next ~switched:true
         else begin
-          drowsy_switch_to procs.(next).stats;
+          drowsy_switch_to procs.(next).tr.stats;
           Fetch_engine.set_window engine ~base:procs.(next).base
             ~area_bytes:procs.(next).warea
         end;
         cur := next
   done;
-  Array.iter
-    (fun p ->
-      p.stats.Stats.cycles <- p.cycles;
-      p.stats.Stats.retired_instrs <- p.instrs)
-    procs;
-  (match kernel with
-  | Some ks ->
-      system.Stats.cycles <- ks.cycles;
-      system.Stats.retired_instrs <- ks.instrs
-  | None -> ());
+  Array.iter (fun p -> Block_exec.settle p.tr) procs;
+  Option.iter (fun ks -> Block_exec.settle ks.tr) kernel;
   (* Leakage runs on the aggregate fetch clock (every fetch kept lines
      awake, whichever process issued it); align the drowsy state to it
      before finalising into the system account.  With a single process
@@ -577,19 +365,24 @@ let run ?probe ?(reference_only = false) ?fastforward
      charges are bit-identical to [Simulator.run]'s. *)
   let agg_fetches =
     Array.fold_left
-      (fun acc p -> acc + p.stats.Stats.fetches)
+      (fun acc p -> acc + p.tr.stats.Stats.fetches)
       system.Stats.fetches procs
+  in
+  let agg_cycles =
+    Array.fold_left
+      (fun acc p -> acc + p.tr.stats.Stats.cycles)
+      system.Stats.cycles procs
   in
   if !clock.Stats.fetches <> agg_fetches then
     Fetch_engine.drowsy_rebase engine ~old_now:!clock.Stats.fetches
       ~new_now:agg_fetches;
-  Fetch_engine.finalize engine system ~cycles:!m_cycles
+  Fetch_engine.finalize engine system ~cycles:agg_cycles
     ~now_fetches:agg_fetches;
   let core_rest = config.energy.Wp_energy.Params.core_rest_pj_per_cycle in
   Array.iter
     (fun p ->
-      Account.add_core p.stats.Stats.account
-        (core_rest *. float_of_int p.cycles))
+      Account.add_core p.tr.stats.Stats.account
+        (core_rest *. float_of_int p.tr.stats.Stats.cycles))
     procs;
   Account.add_core system.Stats.account
     (core_rest *. float_of_int system.Stats.cycles);
@@ -610,13 +403,13 @@ let run ?probe ?(reference_only = false) ?fastforward
     Account.add_memory a (Account.memory_pj b);
     Account.add_core a (Account.core_pj b)
   in
-  Array.iter (fun p -> add_into p.stats) procs;
+  Array.iter (fun p -> add_into p.tr.stats) procs;
   add_into system;
   (match probe with
   | None -> ()
   | Some _ ->
       Array.iter
-        (fun st -> Account.set_probe st.stats.Stats.account None)
+        (fun st -> Account.set_probe st.tr.stats.Stats.account None)
         procs;
       Account.set_probe system.Stats.account None);
   {
@@ -629,7 +422,7 @@ let run ?probe ?(reference_only = false) ?fastforward
                pr_name = p.pname;
                pr_placed = p.placed;
                pr_base = p.base;
-               pr_stats = p.stats;
+               pr_stats = p.tr.stats;
                pr_dispatches = p.dispatches;
              })
            procs);

@@ -15,11 +15,12 @@
     ASIDs), optionally a BTB reset and a drowsy full-sleep, and the
     way-placement window retarget for the incoming process.
 
-    Scheduling runs on the block-batched fast path inside a quantum
-    and bails to the per-instruction reference loop only when a probe
-    is attached (or [reference_only] is set); both paths produce
-    bit-identical [Stats.t] — the mp differ asserts it over the fuzz
-    corpus.  With a single-process mix, an infinite quantum and no
+    The machine is a quantum scheduler over {!Wp_sim.Block_exec}: every
+    process runs on one shared {!Wp_sim.Block_exec.machine}, through the
+    block-batched body inside a quantum, or through the per-instruction
+    body on one machine-wide core when a probe is attached (or
+    [reference_only] is set); both paths produce bit-identical
+    [Stats.t] — the mp differ asserts it over the fuzz corpus.  With a single-process mix, an infinite quantum and no
     kernel, the aggregate is bit-identical to {!Wp_sim.Simulator.run}
     (provided the process is placed iff the scheme is way-placement) —
     the identity oracle. *)

@@ -100,6 +100,15 @@ let validate t =
       end
   end
 
+(* The runtime representation of a [t] is pure immutable data
+   (scalars, records, variants), so marshalling is a total, stable
+   encoding of the whole value: every field participates, including
+   any added later.  [No_sharing] makes it a function of the value
+   alone: with sharing, a config whose [icache] and [dcache] are one
+   physical geometry ([xscale]) would encode differently from an equal
+   one holding two copies ([with_icache]). *)
+let digest (t : t) = Digest.string (Marshal.to_string t [ Marshal.No_sharing ])
+
 let scheme_name = function
   | Baseline -> "baseline"
   | Way_placement { area_bytes } ->

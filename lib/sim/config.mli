@@ -62,5 +62,10 @@ val validate : t -> (unit, string) result
     size (paper Section 4.1); cache and TLB parameters must be
     self-consistent. *)
 
+val digest : t -> Digest.t
+(** A digest of every field: equal for structurally equal configs,
+    whatever their physical sharing.  The sweep memo key and the
+    snapshot-cache scope are built from it. *)
+
 val scheme_name : scheme -> string
 val pp : Format.formatter -> t -> unit

@@ -7,10 +7,11 @@
     comparable runs — the paper's "we always compare equally
     configured machines" protocol (Section 5).
 
-    Two interchangeable replay loops exist.  The {e reference path}
-    retires one instruction at a time and is taken whenever a general
-    probe is attached or [reference_only] is requested.  The {e fast
-    path} replays precompiled same-line runs block-batched
+    Two interchangeable replay loops exist, both driving the block
+    bodies of {!Block_exec}.  The {e reference path} retires one
+    instruction at a time and is taken whenever a general probe is
+    attached or [reference_only] is requested.  The {e fast path}
+    replays precompiled same-line runs block-batched
     ({!Compiled_trace}, {!Fetch_engine.fetch_run}) and is taken
     otherwise — also under a {!Wp_obs.Sampler} or a resize schedule,
     which become breakpoints: resizes apply between blocks, and a block
@@ -74,8 +75,9 @@ val run_compiled :
     trace's {!Compiled_trace.token} and the full config digest, so
     reuse never crosses worlds).  All four are ignored under a
     sampler, a schedule or the reference path.
-    @raise Invalid_argument if the config is invalid, the schedule is
-    not ascending, or both [probe] and [sampler] are given. *)
+    @raise Invalid_argument if the config is invalid, or both [probe]
+    and [sampler] are given, or the schedule is not valid as for
+    {!run_with_resizes} — before any block is replayed. *)
 
 val run :
   config:Config.t ->
@@ -113,8 +115,10 @@ val run_with_resizes :
     flushed at each resize).  Only meaningful for way-placement
     configurations.  Runs the batched fast path (without
     fast-forward).
-    @raise Invalid_argument if the config is invalid, the schedule is
-    not ascending, or the scheme is not way-placement. *)
+    @raise Invalid_argument if the config is invalid, or the schedule
+    is non-empty and the scheme is not way-placement, or the schedule is
+    not ascending, names a block outside the trace or a non-positive
+    area. *)
 
 val run_probed :
   probe:Wp_obs.Probe.t ->

@@ -315,16 +315,7 @@ let create ?workers ?progress () =
 let workers t = t.workers
 let snapshot_cache t = t.snapshot_cache
 
-(* The runtime representation of a Config.t is pure immutable data
-   (scalars, records, variants), so marshalling is a total, stable
-   encoding of the whole value: every field participates, including
-   any added later.  [No_sharing] makes it a function of the value
-   alone: with sharing, a config whose [icache] and [dcache] are one
-   physical geometry ([Config.xscale]) would encode differently from an
-   equal one holding two copies ([Config.with_icache]). *)
-let config_key (config : Config.t) =
-  Digest.to_hex
-    (Digest.string (Marshal.to_string config [ Marshal.No_sharing ]))
+let config_key config = Digest.to_hex (Config.digest config)
 
 let job_key job = job.benchmark ^ "|" ^ config_key job.config
 

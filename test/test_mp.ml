@@ -56,7 +56,38 @@ let test_identity_oracle () =
       Alcotest.(check int)
         (Config.scheme_name scheme ^ ": no kernel runs")
         0 r.Mp.Machine.kernel_runs)
-    all_schemes
+    all_schemes;
+  (* The reference path, probed: its machine-wide core's cumulative
+     [Retire] stream builds exactly the windows a probed [Simulator] run
+     builds, on the same statistics. *)
+  List.iter
+    (fun spec ->
+      let prep = Runner.prepare spec in
+      List.iter
+        (fun scheme ->
+          let config = Config.xscale scheme in
+          let what =
+            Printf.sprintf "%s %s" spec.Wayplace.Workloads.Spec.name
+              (Config.scheme_name scheme)
+          in
+          let s = Sampler.create ~window_cycles:1024 () in
+          let r =
+            Mp.Machine.run ~reference_only:true ~probe:(Sampler.probe s)
+              ~config ~options:Mp.Machine.oracle_options
+              (Mp.Mix.of_specs [ spec ])
+          in
+          let s' = Sampler.create ~window_cycles:1024 () in
+          let solo = Runner.run_scheme ~probe:(Sampler.probe s') prep config in
+          check_stats_equal
+            (what ^ ": probed mp reference path == probed Simulator")
+            solo r.Mp.Machine.aggregate;
+          let w = Sampler.finish s and w' = Sampler.finish s' in
+          Alcotest.(check int)
+            (what ^ ": window count")
+            (List.length w') (List.length w);
+          Alcotest.(check bool) (what ^ ": windows equal") true (w = w'))
+        all_schemes)
+    [ Mibench.tiny; Mibench.find "crc" ]
 
 (* --- fast path vs reference loop under time-slicing ----------------- *)
 

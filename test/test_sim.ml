@@ -414,13 +414,69 @@ let test_resize_schedule_at_index_zero () =
   Alcotest.(check bool) "equals a machine born with the new area" true
     (Stats.equal resized static)
 
+(* Whether a schedule is refused before the run does any work: the
+   run raises [Invalid_argument] and its probe has heard nothing. *)
+let rejected_up_front prep config ~schedule =
+  let events = ref 0 in
+  let layout = Runner.layout_for prep config in
+  match
+    Simulator.run_probed
+      ~probe:(fun _ -> incr events)
+      ~schedule ~config ~program:prep.Runner.program ~layout
+      ~trace:prep.Runner.trace_large
+  with
+  | (_ : Stats.t) -> false
+  | exception Invalid_argument _ -> !events = 0
+
 let test_resize_schedule_beyond_trace () =
+  (* An entry the replay never reaches is refused, not silently
+     dropped — on the fast path and the timeline path too. *)
   let prep = Runner.prepare Mibench.tiny in
   let n = Array.length prep.Runner.trace_large.Tracer.blocks in
-  let plain = Runner.run_scheme prep (Config.xscale wp16) in
-  let resized = run_tiny_with_resizes prep ~schedule:[ (n + 100, 1024) ] in
-  Alcotest.(check bool) "never-reached resize is bit-identical" true
-    (Stats.equal plain resized)
+  let config = Config.xscale wp16 in
+  Alcotest.(check bool) "entry past the trace end rejected" true
+    (rejected_up_front prep config ~schedule:[ (n / 2, 2048); (n, 1024) ]);
+  Alcotest.(check bool) "fast path rejects it too" true
+    (match run_tiny_with_resizes prep ~schedule:[ (n + 100, 1024) ] with
+    | (_ : Stats.t) -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "timeline rejects it too" true
+    (match Runner.run_timeline ~schedule:[ (n + 5, 4096) ] prep config with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_resize_schedule_needs_way_placement () =
+  let prep = Runner.prepare Mibench.tiny in
+  let n = Array.length prep.Runner.trace_large.Tracer.blocks in
+  List.iter
+    (fun (scheme, at) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s refuses a resize at block %d"
+           (Config.scheme_name scheme) at)
+        true
+        (rejected_up_front prep (Config.xscale scheme)
+           ~schedule:[ (at, 4096) ]))
+    [
+      (Config.Baseline, n + 5);
+      (Config.Baseline, n / 2);
+      (Config.Way_memoization, n / 2);
+      (Config.Filter_cache { l0_bytes = 512 }, 0);
+    ]
+
+let test_resize_schedule_negative_index () =
+  let prep = Runner.prepare Mibench.tiny in
+  Alcotest.(check bool) "negative block index rejected" true
+    (rejected_up_front prep (Config.xscale wp16) ~schedule:[ (-1, 4096) ])
+
+let test_resize_schedule_non_positive_area () =
+  let prep = Runner.prepare Mibench.tiny in
+  let n = Array.length prep.Runner.trace_large.Tracer.blocks in
+  List.iter
+    (fun schedule ->
+      Alcotest.(check bool)
+        "non-positive area rejected before the run" true
+        (rejected_up_front prep (Config.xscale wp16) ~schedule))
+    [ [ (n / 2, 0) ]; [ (1, 4096); (n - 1, -1024) ] ]
 
 let test_resize_schedule_duplicate_index () =
   let prep = Runner.prepare Mibench.tiny in
@@ -539,6 +595,12 @@ let () =
           Alcotest.test_case "resize schedule: index 0" `Quick test_resize_schedule_at_index_zero;
           Alcotest.test_case "resize schedule: beyond trace" `Quick test_resize_schedule_beyond_trace;
           Alcotest.test_case "resize schedule: duplicate index" `Quick test_resize_schedule_duplicate_index;
+          Alcotest.test_case "resize schedule: needs way-placement" `Quick
+            test_resize_schedule_needs_way_placement;
+          Alcotest.test_case "resize schedule: negative index" `Quick
+            test_resize_schedule_negative_index;
+          Alcotest.test_case "resize schedule: non-positive area" `Quick
+            test_resize_schedule_non_positive_area;
           Alcotest.test_case "memo data overhead" `Quick test_wm_same_line_uses_memo_factor;
           Alcotest.test_case "filter same-line uses L0 energy" `Quick
             test_filter_same_line_charges_l0;
