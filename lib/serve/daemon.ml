@@ -1,62 +1,26 @@
 module Pool = Wp_sim.Sweep.Pool
+module Config = Wp_sim.Config
 module Runner = Wp_sim.Runner
 module Simulator = Wp_sim.Simulator
 module Stats = Wp_sim.Stats
-module Mp = Wp_mp.Machine
+module Machine = Wp_mp.Machine
 module Mix = Wp_mp.Mix
 module P = Protocol
 
-(* A write-once cell with both blocking and callback consumption.
-   Completions arrive on executor domains; connection writers learn of
-   them through [on_ready] callbacks that enqueue the response — no
-   thread parks per pending request. *)
-module Future = struct
-  type 'a t = {
-    lock : Mutex.t;
-    cond : Condition.t;
-    mutable value : 'a option;
-    mutable waiters : ('a -> unit) list;
-  }
+let ( let* ) = Result.bind
 
-  let create () =
-    {
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      value = None;
-      waiters = [];
-    }
+(* What the store holds for each request kind: everything its reply
+   needs, so a hit — from memory or from disk after a restart — answers
+   exactly what the computation did. *)
+type entry =
+  | Sim of Stats.t
+  | Mp of { aggregate : Stats.t; switches : int; kernel_runs : int }
+  | Advise of P.advise_result
 
-  let fulfill t v =
-    Mutex.lock t.lock;
-    let waiters =
-      match t.value with
-      | Some _ ->
-          Mutex.unlock t.lock;
-          invalid_arg "Daemon.Future: fulfilled twice"
-      | None ->
-          t.value <- Some v;
-          let ws = t.waiters in
-          t.waiters <- [];
-          Condition.broadcast t.cond;
-          Mutex.unlock t.lock;
-          ws
-    in
-    (* callbacks run outside the lock; one raising waiter must not
-       starve the others *)
-    List.iter (fun k -> try k v with _ -> ()) (List.rev waiters)
-
-  let on_ready t k =
-    Mutex.lock t.lock;
-    match t.value with
-    | Some v ->
-        Mutex.unlock t.lock;
-        k v
-    | None ->
-        t.waiters <- k :: t.waiters;
-        Mutex.unlock t.lock
-end
-
-type outcome = (Stats.t, string) result
+(* How a request learns its job's outcome: a callback, run on the
+   executor domain that completes the job (or inline on a store hit),
+   which enqueues the response — no thread parks per pending request. *)
+type waiter = (entry, string) result -> unit
 
 type conn = {
   fd : Unix.file_descr;
@@ -75,21 +39,14 @@ type t = {
   actual_endpoint : P.endpoint;
   unix_path : string option;  (** to unlink after the run *)
   exec : Pool.Executor.t;
-  store : Store.t;
+  store : entry Store.t;
   engine : Wp_sim.Sweep.t;  (** memoised [Runner.prepare] only *)
+  codes_lock : Mutex.t;
+  codes : (string * bool, Digest.t) Hashtbl.t;
+      (** (benchmark, placed layout?) -> {!Store.code_digest} *)
   inflight_lock : Mutex.t;
-  inflight : (string, outcome Future.t) Hashtbl.t;
-  mp_meta_lock : Mutex.t;
-  mp_meta : (string, int * int) Hashtbl.t;
-      (** key -> (switches, kernel_runs): machine-level facts the store
-          does not persist.  In-memory only — a disk hit after a
-          restart reports them as [-1]. *)
-  advise_lock : Mutex.t;
-  advise_cache : (string, P.advise_result) Hashtbl.t;
-      (** advisor summaries are not [Stats.t], so they bypass the store
-          and live in this in-memory cache; one lock covers both the
-          cache and the advise in-flight table *)
-  advise_inflight : (string, (P.advise_result, string) result Future.t) Hashtbl.t;
+  inflight : (string, waiter list ref) Hashtbl.t;
+      (** key -> requests coalesced onto the job computing it *)
   stop_pipe_r : Unix.file_descr;
   stop_pipe_w : Unix.file_descr;
   state_lock : Mutex.t;
@@ -106,11 +63,9 @@ type t = {
 }
 
 let computations t = Atomic.get t.computations
-let store t = t.store
 let endpoint t = t.actual_endpoint
 
 let create ?workers ?store_dir ~endpoint () =
-  let ( let* ) = Result.bind in
   let* addr = P.sockaddr_of_endpoint endpoint in
   let* store = Store.create ?dir:store_dir () in
   let domain =
@@ -156,13 +111,10 @@ let create ?workers ?store_dir ~endpoint () =
           exec = Pool.Executor.create ?workers ();
           store;
           engine = Wp_sim.Sweep.create ~workers:1 ();
+          codes_lock = Mutex.create ();
+          codes = Hashtbl.create 64;
           inflight_lock = Mutex.create ();
           inflight = Hashtbl.create 64;
-          mp_meta_lock = Mutex.create ();
-          mp_meta = Hashtbl.create 16;
-          advise_lock = Mutex.create ();
-          advise_cache = Hashtbl.create 16;
-          advise_inflight = Hashtbl.create 16;
           stop_pipe_r;
           stop_pipe_w;
           state_lock = Mutex.create ();
@@ -188,15 +140,6 @@ let stop t =
     try ignore (Unix.write t.stop_pipe_w (Bytes.of_string "x") 0 1)
     with Unix.Unix_error _ -> ()
 
-let inflight_count t =
-  Mutex.lock t.inflight_lock;
-  let n = Hashtbl.length t.inflight in
-  Mutex.unlock t.inflight_lock;
-  Mutex.lock t.advise_lock;
-  let n = n + Hashtbl.length t.advise_inflight in
-  Mutex.unlock t.advise_lock;
-  n
-
 let server_stats t =
   {
     P.requests = Atomic.get t.requests;
@@ -207,7 +150,8 @@ let server_stats t =
     coalesced = Atomic.get t.coalesced_count;
     errors = Atomic.get t.errors;
     store_entries = Store.memory_entries t.store;
-    inflight = inflight_count t;
+    inflight =
+      Mutex.protect t.inflight_lock (fun () -> Hashtbl.length t.inflight);
     workers = Pool.Executor.workers t.exec;
     uptime_s = Unix.gettimeofday () -. t.started;
   }
@@ -220,170 +164,335 @@ let enqueue_locked conn resp =
 
 (* Immediate (synchronous) reply to a request handled inline. *)
 let reply conn resp =
-  Mutex.lock conn.out_lock;
-  enqueue_locked conn resp;
-  Mutex.unlock conn.out_lock
+  Mutex.protect conn.out_lock (fun () -> enqueue_locked conn resp)
 
 (* Completion of a previously dispatched request. *)
 let complete conn resp =
-  Mutex.lock conn.out_lock;
-  conn.outstanding <- conn.outstanding - 1;
-  enqueue_locked conn resp;
-  Mutex.unlock conn.out_lock
+  Mutex.protect conn.out_lock (fun () ->
+      conn.outstanding <- conn.outstanding - 1;
+      enqueue_locked conn resp)
 
 let dispatch conn =
-  Mutex.lock conn.out_lock;
-  conn.outstanding <- conn.outstanding + 1;
-  Mutex.unlock conn.out_lock
+  Mutex.protect conn.out_lock (fun () -> conn.outstanding <- conn.outstanding + 1)
 
 let reply_error t conn id msg =
   Atomic.incr t.errors;
   reply conn { P.id; reply = P.Error_reply msg }
 
-let complete_error t conn id msg =
-  Atomic.incr t.errors;
-  complete conn { P.id; reply = P.Error_reply msg }
+(* --- the job pipeline ------------------------------------------------- *)
 
-(* --- request handling ----------------------------------------------- *)
+(* One request kind's computation, as [resolve] sees it: the content
+   address, the compute, and (when verifying) the same run on the
+   reference loop, which must agree bit for bit. *)
+type job = {
+  key : string;
+  no_cache : bool;
+  compute : unit -> entry;
+  reference : (unit -> entry) option;
+}
 
-let verify_against_reference prep config stats =
-  let reference =
-    Simulator.run_compiled ~reference_only:true ~config
-      ~trace:prep.Runner.trace_large
-      (Runner.compiled_for prep config)
-  in
-  if Stats.equal stats reference then Ok ()
-  else
-    Error
-      (Format.asprintf
-         "verification failed: served result diverges from the reference \
-          loop:@ %a"
-         Stats.pp_diff (stats, reference))
+let check_reference job v =
+  match job.reference with
+  | None -> Ok ()
+  | Some reference -> (
+      match (v, reference ()) with
+      | (Sim a | Mp { aggregate = a; _ }), (Sim b | Mp { aggregate = b; _ })
+        when not (Stats.equal a b) ->
+          Error
+            (Format.asprintf
+               "verification failed: served result diverges from the \
+                reference loop:@ %a"
+               Stats.pp_diff (a, b))
+      | _ -> Ok ()
+      | exception exn ->
+          Error
+            (Printf.sprintf "verification failed: reference run raised: %s"
+               (Printexc.to_string exn)))
 
 (* Run one computation (on an executor domain, or inline when the
-   executor is already draining), publish to the store, resolve the
-   future.  [registered] tells us to drop the in-flight entry; the
-   store [put] happens strictly before that removal, so a request that
-   misses the in-flight table afterwards is guaranteed to hit the
-   store — the computation counter can never exceed the number of
-   distinct keys (plus deliberate [no_cache] runs). *)
-let run_computation t ~prep ~config ~key ~verify ~registered fut =
+   executor is already draining), publish it to the store, then take
+   the job out of the in-flight table and answer it and every request
+   coalesced onto it.  The store [put] happens strictly before that
+   removal, so a request that misses the in-flight table afterwards is
+   guaranteed to hit the store — the computation counter can never
+   exceed the number of distinct keys (plus deliberate [no_cache]
+   runs, which never register). *)
+let run_job t job first =
   let outcome =
-    (* every computation shares the sweep engine's snapshot cache:
-       converged loop iterations recorded for one request fast-forward
-       every later request whose fingerprints coincide — most visibly
-       the cells of a grid, which differ only in configuration.  The
-       result is bit-identical either way (the cache key pins the
-       compiled trace and the full config; the differ enforces the
-       equality). *)
-    match
-      Runner.run_scheme
-        ~snapshot_cache:(Wp_sim.Sweep.snapshot_cache t.engine)
-        prep config
-    with
-    | stats -> (
+    match job.compute () with
+    | v -> (
         Atomic.incr t.computations;
-        match if verify then verify_against_reference prep config stats else Ok () with
+        match check_reference job v with
         | Ok () ->
-            Store.put t.store key stats;
-            Ok stats
-        | Error msg -> Error msg)
+            Store.put t.store job.key v;
+            Ok v
+        | Error _ as e -> e)
     | exception exn ->
         Error (Printf.sprintf "computation failed: %s" (Printexc.to_string exn))
   in
-  if registered then begin
-    Mutex.lock t.inflight_lock;
-    Hashtbl.remove t.inflight key;
-    Mutex.unlock t.inflight_lock
-  end;
-  Future.fulfill fut outcome
+  let coalesced =
+    if job.no_cache then []
+    else
+      Mutex.protect t.inflight_lock (fun () ->
+          let waiters = !(Hashtbl.find t.inflight job.key) in
+          Hashtbl.remove t.inflight job.key;
+          waiters)
+  in
+  (* one raising waiter must not starve the others *)
+  List.iter (fun k -> try k outcome with _ -> ()) (first :: List.rev coalesced)
 
-let complete_sim t conn id ~key ~source outcome =
-  match outcome with
-  | Ok stats ->
-      complete conn
-        { P.id; reply = P.Sim_reply (P.sim_result_of_stats ~key ~source stats) }
-  | Error msg -> complete_error t conn id msg
-
-(* Submit a computation; if the executor is draining (shutdown has
-   begun) the request was still accepted, so run it inline on the
-   reader thread rather than lose it. *)
-let submit_computation t ~prep ~config ~key ~verify ~registered fut =
-  let task () = run_computation t ~prep ~config ~key ~verify ~registered fut in
-  if not (Pool.Executor.submit t.exec task) then task ()
-
-(* Resolve one (prepared, config) cell through the full memoisation
-   stack — store, in-flight coalescing, executor — calling [k] exactly
-   once with the source and outcome: synchronously on a store hit,
-   from an executor domain otherwise.  Shared by [Sim] requests and
-   the cells of a [Grid]. *)
-let resolve_sim t ~prep ~config ~key ~no_cache ~verify k =
-  if no_cache then begin
+(* Resolve one job through the full memoisation stack — store, in-flight
+   coalescing, executor — calling [k] exactly once with the source and
+   outcome: synchronously on a store hit, from an executor domain
+   otherwise.  Every request kind, and every cell of a grid, comes
+   through here. *)
+let resolve t job k =
+  let start () =
+    let task () = run_job t job (k P.Computed) in
+    (* if the executor is draining (shutdown has begun) the request was
+       still accepted: run it inline on the reader thread rather than
+       lose it *)
+    if not (Pool.Executor.submit t.exec task) then task ()
+  in
+  let hit () =
+    match Store.find t.store job.key with
+    | Some (v, `Memory) ->
+        Some (fun () -> Atomic.incr t.hits_memory; k P.Memory (Ok v))
+    | Some (v, `Disk) ->
+        Some (fun () -> Atomic.incr t.hits_disk; k P.Disk (Ok v))
+    | None -> None
+  in
+  if job.no_cache then
     (* deliberate fresh run: no store read, no coalescing *)
-    let fut = Future.create () in
-    Future.on_ready fut (fun o -> k P.Computed o);
-    submit_computation t ~prep ~config ~key ~verify ~registered:false fut
-  end
+    start ()
   else
-    let hit stats source counter =
-      Atomic.incr counter;
-      k source (Ok stats)
-    in
-    match Store.find t.store key with
-    | Some (stats, `Memory) -> hit stats P.Memory t.hits_memory
-    | Some (stats, `Disk) -> hit stats P.Disk t.hits_disk
+    match hit () with
+    | Some answer -> answer ()
     | None -> (
         Mutex.lock t.inflight_lock;
-        match Hashtbl.find_opt t.inflight key with
-        | Some fut ->
+        match Hashtbl.find_opt t.inflight job.key with
+        | Some waiters ->
+            waiters := k P.Coalesced :: !waiters;
             Mutex.unlock t.inflight_lock;
-            Atomic.incr t.coalesced_count;
-            Future.on_ready fut (fun o -> k P.Coalesced o)
+            Atomic.incr t.coalesced_count
         | None -> (
             (* recheck under the in-flight lock: a computation that
                just completed publishes to the store before
                deregistering, so this order can't miss both tables and
                recompute *)
-            match Store.find t.store key with
-            | Some (stats, `Memory) ->
+            match hit () with
+            | Some answer ->
                 Mutex.unlock t.inflight_lock;
-                hit stats P.Memory t.hits_memory
-            | Some (stats, `Disk) ->
-                Mutex.unlock t.inflight_lock;
-                hit stats P.Disk t.hits_disk
+                answer ()
             | None ->
-                let fut = Future.create () in
-                Hashtbl.replace t.inflight key fut;
+                Hashtbl.replace t.inflight job.key (ref []);
                 Mutex.unlock t.inflight_lock;
-                Future.on_ready fut (fun o -> k P.Computed o);
-                submit_computation t ~prep ~config ~key ~verify
-                  ~registered:true fut))
+                start ()))
 
-let handle_sim t conn id (sr : P.sim_request) =
+(* Keys carry their kind, so a store entry of another kind under a
+   request's key would take an MD5 collision; answer it as an error
+   all the same. *)
+let wrong_kind = Error "store entry of another request kind"
+
+(* Answer one request: its validation error at once, or its job's
+   outcome, turned into the reply by [encode]. *)
+let answer t conn id request =
   Atomic.incr t.sim_requests;
-  match P.config_of_sim sr with
+  match request with
   | Error msg -> reply_error t conn id msg
-  | Ok config -> (
-      match Wp_sim.Sweep.prepared t.engine sr.P.benchmark with
-      | exception Not_found ->
-          reply_error t conn id
-            (Printf.sprintf "unknown benchmark %S" sr.P.benchmark)
-      | exception exn ->
-          reply_error t conn id
-            (Printf.sprintf "prepare failed: %s" (Printexc.to_string exn))
-      | prep ->
-          let layout = Runner.layout_for prep config in
-          let key =
-            Store.key ~program:prep.Runner.program
-              ~order:(Wp_layout.Binary_layout.order layout)
-              ~config
+  | Ok (job, encode) ->
+      dispatch conn;
+      resolve t job (fun source outcome ->
+          let reply =
+            match Result.bind outcome (encode source) with
+            | Ok reply -> reply
+            | Error msg ->
+                Atomic.incr t.errors;
+                P.Error_reply msg
           in
-          dispatch conn;
-          resolve_sim t ~prep ~config ~key ~no_cache:sr.P.no_cache
-            ~verify:sr.P.verify (fun source outcome ->
-              complete_sim t conn id ~key ~source outcome))
+          complete conn { P.id; reply })
 
-(* --- grid requests ---------------------------------------------------- *)
+(* The prepared benchmark and the code digest of the layout [config]
+   runs: the per-benchmark half of a sim or advise key.  Marshalling
+   the program for it costs about a millisecond, so the digest is
+   computed once per (benchmark, layout), under [codes_lock] (a [Lazy]
+   would race when forced from two domains). *)
+let prepared t bench config =
+  match Wp_sim.Sweep.prepared t.engine bench with
+  | exception Not_found -> Error (Printf.sprintf "unknown benchmark %S" bench)
+  | exception exn ->
+      Error (Printf.sprintf "prepare failed: %s" (Printexc.to_string exn))
+  | prep ->
+      let placed = Runner.layout_for prep config == prep.Runner.placed_layout in
+      let slot = (bench, placed) in
+      Mutex.protect t.codes_lock (fun () ->
+          match Hashtbl.find_opt t.codes slot with
+          | Some code -> Ok (prep, code)
+          | None ->
+              let code = Store.code_digest prep config in
+              Hashtbl.replace t.codes slot code;
+              Ok (prep, code))
+
+(* --- request kinds ---------------------------------------------------- *)
+
+(* Each kind validates its request into a job plus the encoder that
+   turns the job's entry into the reply. *)
+
+let sim_job t ~bench ~config ~no_cache ~verify =
+  let* prep, code = prepared t bench config in
+  Ok
+    {
+      key = Store.sim_address ~code config;
+      no_cache;
+      (* every computation shares the sweep engine's snapshot cache:
+         converged loop iterations recorded for one request
+         fast-forward every later request whose fingerprints coincide —
+         most visibly the cells of a grid, which differ only in
+         configuration.  The result is bit-identical either way (the
+         cache key pins the compiled trace and the full config; the
+         differ enforces the equality). *)
+      compute =
+        (fun () ->
+          Sim
+            (Runner.run_scheme
+               ~snapshot_cache:(Wp_sim.Sweep.snapshot_cache t.engine)
+               prep config));
+      reference =
+        (if not verify then None
+         else
+           Some
+             (fun () ->
+               Sim
+                 (Simulator.run_compiled ~reference_only:true ~config
+                    ~trace:prep.Runner.trace_large
+                    (Runner.compiled_for prep config))));
+    }
+
+let sim_result job source = function
+  | Sim stats -> Ok (P.sim_result_of_stats ~key:job.key ~source stats)
+  | Mp _ | Advise _ -> wrong_kind
+
+let sim_request t (sr : P.sim_request) =
+  let* config = P.config_of_sim sr in
+  let* job =
+    sim_job t ~bench:sr.P.benchmark ~config ~no_cache:sr.P.no_cache
+      ~verify:sr.P.verify
+  in
+  Ok
+    ( job,
+      fun source v -> Result.map (fun r -> P.Sim_reply r) (sim_result job source v)
+    )
+
+(* The wire mix string, resolved to a concrete process list: MiBench
+   names, or "random:SEED" through the fuzzer's deterministic mix
+   generator.  Resolution is cheap (spec lookup / generation only);
+   program generation and tracing happen inside [Machine.run] on an
+   executor domain. *)
+let resolve_mix (mr : P.mp_request) =
+  let s = mr.P.mp_mix in
+  let* mix =
+    if String.length s > 7 && String.starts_with ~prefix:"random:" s then
+      match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
+      | Some seed -> Ok (Wp_check.Progen.mix_of_seed seed)
+      | None ->
+          Error (Printf.sprintf "bad mix %S: random: needs an integer seed" s)
+    else
+      Mix.of_names
+        (String.split_on_char ',' s
+        |> List.map String.trim
+        |> List.filter (( <> ) ""))
+  in
+  match mr.P.mp_coverage with
+  | "mix" -> Ok mix
+  | other ->
+      Result.map
+        (fun c -> Mix.apply_coverage c mix)
+        (Mix.coverage_of_string other)
+
+let options_of_mp (mr : P.mp_request) =
+  {
+    Machine.quantum_cycles = mr.P.mp_quantum;
+    kernel = mr.P.mp_kernel;
+    btb_policy =
+      (if mr.P.mp_btb_flush then Machine.Btb_flush else Machine.Btb_shared);
+    drowsy_policy =
+      (if mr.P.mp_drowsy_flush then Machine.Drowsy_flush
+       else Machine.Drowsy_shared);
+    sched = (if mr.P.mp_priority then Machine.Priority else Machine.Round_robin);
+  }
+
+let mp_request (mr : P.mp_request) =
+  let* config = P.config_of_mp mr in
+  let* mix =
+    try resolve_mix mr
+    with exn ->
+      Error (Printf.sprintf "mix resolution failed: %s" (Printexc.to_string exn))
+  in
+  let options = options_of_mp mr in
+  let run ?reference_only () =
+    let r = Machine.run ?reference_only ~config ~options mix in
+    Mp
+      {
+        aggregate = r.Machine.aggregate;
+        switches = r.Machine.switches;
+        kernel_runs = r.Machine.kernel_runs;
+      }
+  in
+  let key = Store.mp_address mix config options in
+  Ok
+    ( {
+        key;
+        no_cache = mr.P.mp_no_cache;
+        compute = run;
+        reference =
+          (if mr.P.mp_verify then Some (run ~reference_only:true) else None);
+      },
+      fun source -> function
+        | Mp { aggregate; switches; kernel_runs } ->
+            Ok
+              (P.Mp_reply
+                 (P.mp_result_of_stats ~key ~source ~processes:(List.length mix)
+                    ~switches ~kernel_runs aggregate))
+        | Sim _ | Advise _ -> wrong_kind )
+
+let advise_request t (ar : P.advise_request) =
+  let* geometry =
+    try
+      Ok
+        (Wp_cache.Geometry.make
+           ~size_bytes:(ar.P.ad_size_kb * 1024)
+           ~assoc:ar.P.ad_ways ~line_bytes:ar.P.ad_line_bytes)
+    with Invalid_argument msg -> Error msg
+  in
+  (* the analysed geometry and area, as the config the key is built on;
+     its way-placement scheme selects the placed layout the advisor
+     reads *)
+  let area_bytes = ar.P.ad_area_kb * 1024 in
+  let config =
+    Config.with_icache
+      (Config.xscale (Config.Way_placement { area_bytes }))
+      geometry
+  in
+  let* prep, code = prepared t ar.P.ad_benchmark config in
+  let key =
+    Store.advise_address ~code ~benchmark:ar.P.ad_benchmark
+      ~page_bytes:ar.P.ad_page_bytes config
+  in
+  let compute () =
+    Advise
+      (P.advise_result_of_report ~key ~source:P.Computed
+         (Wp_advise.Advisor.analyze ~benchmark:ar.P.ad_benchmark
+            ~graph:prep.Runner.program.Wp_workloads.Codegen.graph
+            ~profile:prep.Runner.profile_small ~trace:prep.Runner.trace_large
+            ~layout:prep.Runner.placed_layout ~geometry
+            ~page_bytes:ar.P.ad_page_bytes ~area_bytes
+            ~energy:(Config.xscale Config.Baseline).Config.energy ()))
+  in
+  Ok
+    ( { key; no_cache = ar.P.ad_no_cache; compute; reference = None },
+      fun source -> function
+        | Advise r -> Ok (P.Advise_reply { r with P.adr_source = source })
+        | Sim _ | Mp _ -> wrong_kind )
 
 (* One grid = one dispatched slot: cells stream through [reply] as
    their computations (or store hits) land, in completion order; the
@@ -392,7 +501,6 @@ let handle_sim t conn id (sr : P.sim_request) =
    its countdown decrement, which happens before the final decrement).
    Cell failures are per-cell — the rest of the grid still runs. *)
 let handle_grid t conn id (gr : P.grid_request) =
-  Atomic.incr t.sim_requests;
   match P.grid_cells gr with
   | [] -> reply_error t conn id "empty grid"
   | cells ->
@@ -421,380 +529,51 @@ let handle_grid t conn id (gr : P.grid_request) =
                   };
             }
       in
-      let emit idx bench scheme size_kb ways outcome =
-        reply conn
-          {
-            P.id;
-            reply =
-              P.Grid_cell_reply
-                {
-                  P.gc_index = idx;
-                  gc_benchmark = bench;
-                  gc_scheme = scheme;
-                  gc_size_kb = size_kb;
-                  gc_ways = ways;
-                  gc_outcome = outcome;
-                };
-          };
-        finish_cell ()
-      in
-      let cell_error idx bench scheme size_kb ways msg =
-        Atomic.incr g_errors;
-        Atomic.incr t.errors;
-        emit idx bench scheme size_kb ways (Error msg)
-      in
       List.iteri
         (fun idx (bench, scheme, size_kb, ways) ->
-          match
-            P.config_of_geometry ~scheme ~size_kb ~ways
-              ~line_bytes:gr.P.g_line_bytes
-          with
-          | Error msg -> cell_error idx bench scheme size_kb ways msg
-          | Ok config -> (
-              match Wp_sim.Sweep.prepared t.engine bench with
-              | exception Not_found ->
-                  cell_error idx bench scheme size_kb ways
-                    (Printf.sprintf "unknown benchmark %S" bench)
-              | exception exn ->
-                  cell_error idx bench scheme size_kb ways
-                    (Printf.sprintf "prepare failed: %s"
-                       (Printexc.to_string exn))
-              | prep ->
-                  let layout = Runner.layout_for prep config in
-                  let key =
-                    Store.key ~program:prep.Runner.program
-                      ~order:(Wp_layout.Binary_layout.order layout)
-                      ~config
-                  in
-                  resolve_sim t ~prep ~config ~key ~no_cache:gr.P.g_no_cache
-                    ~verify:false (fun source outcome ->
-                      match outcome with
-                      | Ok stats ->
-                          (match source with
-                          | P.Computed -> Atomic.incr computed
-                          | P.Memory -> Atomic.incr g_memory
-                          | P.Disk -> Atomic.incr g_disk
-                          | P.Coalesced -> Atomic.incr g_coalesced);
-                          emit idx bench scheme size_kb ways
-                            (Ok (P.sim_result_of_stats ~key ~source stats))
-                      | Error msg ->
-                          cell_error idx bench scheme size_kb ways msg)))
-        cells
-
-(* --- multiprogrammed requests ---------------------------------------- *)
-
-(* The wire mix string, resolved to a concrete process list: MiBench
-   names, or "random:SEED" through the fuzzer's deterministic mix
-   generator.  Resolution is cheap (spec lookup / generation only);
-   program generation and tracing happen inside [Mp.run] on an
-   executor domain. *)
-let resolve_mix (mr : P.mp_request) =
-  let with_coverage mix =
-    match mr.P.mp_coverage with
-    | "mix" -> Ok mix
-    | other -> (
-        match Mix.coverage_of_string other with
-        | Ok c -> Ok (Mix.apply_coverage c mix)
-        | Error _ as e -> e)
-  in
-  let prefix = "random:" in
-  let plen = String.length prefix in
-  if
-    String.length mr.P.mp_mix > plen
-    && String.sub mr.P.mp_mix 0 plen = prefix
-  then
-    match
-      int_of_string_opt
-        (String.sub mr.P.mp_mix plen (String.length mr.P.mp_mix - plen))
-    with
-    | Some seed -> with_coverage (Wp_check.Progen.mix_of_seed seed)
-    | None ->
-        Error
-          (Printf.sprintf "bad mix %S: random: needs an integer seed"
-             mr.P.mp_mix)
-  else
-    match
-      Mix.of_names
-        (String.split_on_char ',' mr.P.mp_mix
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> ""))
-    with
-    | Ok mix -> with_coverage mix
-    | Error _ as e -> e
-
-let options_of_mp (mr : P.mp_request) =
-  {
-    Mp.quantum_cycles = mr.P.mp_quantum;
-    kernel = mr.P.mp_kernel;
-    btb_policy = (if mr.P.mp_btb_flush then Mp.Btb_flush else Mp.Btb_shared);
-    drowsy_policy =
-      (if mr.P.mp_drowsy_flush then Mp.Drowsy_flush else Mp.Drowsy_shared);
-    sched = (if mr.P.mp_priority then Mp.Priority else Mp.Round_robin);
-  }
-
-(* Content address of a multiprogrammed run: the fully resolved mix
-   (specs, placement flags, priorities), the machine configuration and
-   the scheduler options are all the run depends on.  The "mp-" prefix
-   keeps the namespace disjoint from single-process [Store.key]s, so
-   both share the store and the in-flight table. *)
-let mp_key ~mix ~(config : Wp_sim.Config.t) ~(options : Mp.options) =
-  "mp-"
-  ^ Digest.to_hex (Digest.string (Marshal.to_string (mix, config, options) []))
-
-let mp_meta_for t key =
-  Mutex.lock t.mp_meta_lock;
-  let m = Hashtbl.find_opt t.mp_meta key in
-  Mutex.unlock t.mp_meta_lock;
-  match m with Some (s, k) -> (s, k) | None -> (-1, -1)
-
-let run_mp_computation t ~mix ~config ~options ~key ~verify ~registered fut =
-  let outcome =
-    match Mp.run ~config ~options mix with
-    | r -> (
-        Atomic.incr t.computations;
-        let verified =
-          if not verify then Ok ()
-          else
-            match Mp.run ~reference_only:true ~config ~options mix with
-            | refr ->
-                if Stats.equal r.Mp.aggregate refr.Mp.aggregate then Ok ()
-                else
-                  Error
-                    (Format.asprintf
-                       "verification failed: mp fast path diverges from the \
-                        reference loop:@ %a"
-                       Stats.pp_diff
-                       (r.Mp.aggregate, refr.Mp.aggregate))
-            | exception exn ->
-                Error
-                  (Printf.sprintf "verification failed: reference run raised: %s"
-                     (Printexc.to_string exn))
-        in
-        match verified with
-        | Ok () ->
-            Mutex.lock t.mp_meta_lock;
-            Hashtbl.replace t.mp_meta key (r.Mp.switches, r.Mp.kernel_runs);
-            Mutex.unlock t.mp_meta_lock;
-            Store.put t.store key r.Mp.aggregate;
-            Ok r.Mp.aggregate
-        | Error msg -> Error msg)
-    | exception exn ->
-        Error (Printf.sprintf "computation failed: %s" (Printexc.to_string exn))
-  in
-  if registered then begin
-    Mutex.lock t.inflight_lock;
-    Hashtbl.remove t.inflight key;
-    Mutex.unlock t.inflight_lock
-  end;
-  Future.fulfill fut outcome
-
-let submit_mp t ~mix ~config ~options ~key ~verify ~registered fut =
-  let task () =
-    run_mp_computation t ~mix ~config ~options ~key ~verify ~registered fut
-  in
-  if not (Pool.Executor.submit t.exec task) then task ()
-
-let complete_mp t conn id ~key ~source ~processes outcome =
-  match outcome with
-  | Ok stats ->
-      let switches, kernel_runs = mp_meta_for t key in
-      complete conn
-        {
-          P.id;
-          reply =
-            P.Mp_reply
-              (P.mp_result_of_stats ~key ~source ~processes ~switches
-                 ~kernel_runs stats);
-        }
-  | Error msg -> complete_error t conn id msg
-
-let handle_mp t conn id (mr : P.mp_request) =
-  Atomic.incr t.sim_requests;
-  match P.config_of_mp mr with
-  | Error msg -> reply_error t conn id msg
-  | Ok config -> (
-      match resolve_mix mr with
-      | Error msg -> reply_error t conn id msg
-      | exception exn ->
-          reply_error t conn id
-            (Printf.sprintf "mix resolution failed: %s" (Printexc.to_string exn))
-      | Ok mix -> (
-          let options = options_of_mp mr in
-          let key = mp_key ~mix ~config ~options in
-          let processes = List.length mix in
-          let respond_hit stats source counter =
-            Atomic.incr counter;
-            let switches, kernel_runs = mp_meta_for t key in
+          let emit outcome =
             reply conn
               {
                 P.id;
                 reply =
-                  P.Mp_reply
-                    (P.mp_result_of_stats ~key ~source ~processes ~switches
-                       ~kernel_runs stats);
-              }
+                  P.Grid_cell_reply
+                    {
+                      P.gc_index = idx;
+                      gc_benchmark = bench;
+                      gc_scheme = scheme;
+                      gc_size_kb = size_kb;
+                      gc_ways = ways;
+                      gc_outcome = outcome;
+                    };
+              };
+            finish_cell ()
           in
-          if mr.P.mp_no_cache then begin
-            let fut = Future.create () in
-            dispatch conn;
-            Future.on_ready fut
-              (complete_mp t conn id ~key ~source:P.Computed ~processes);
-            submit_mp t ~mix ~config ~options ~key ~verify:mr.P.mp_verify
-              ~registered:false fut
-          end
-          else
-            match Store.find t.store key with
-            | Some (stats, `Memory) -> respond_hit stats P.Memory t.hits_memory
-            | Some (stats, `Disk) -> respond_hit stats P.Disk t.hits_disk
-            | None -> (
-                Mutex.lock t.inflight_lock;
-                match Hashtbl.find_opt t.inflight key with
-                | Some fut ->
-                    Mutex.unlock t.inflight_lock;
-                    Atomic.incr t.coalesced_count;
-                    dispatch conn;
-                    Future.on_ready fut
-                      (complete_mp t conn id ~key ~source:P.Coalesced ~processes)
-                | None -> (
-                    match Store.find t.store key with
-                    | Some (stats, `Memory) ->
-                        Mutex.unlock t.inflight_lock;
-                        respond_hit stats P.Memory t.hits_memory
-                    | Some (stats, `Disk) ->
-                        Mutex.unlock t.inflight_lock;
-                        respond_hit stats P.Disk t.hits_disk
-                    | None ->
-                        let fut = Future.create () in
-                        Hashtbl.replace t.inflight key fut;
-                        Mutex.unlock t.inflight_lock;
-                        dispatch conn;
-                        Future.on_ready fut
-                          (complete_mp t conn id ~key ~source:P.Computed
-                             ~processes);
-                        submit_mp t ~mix ~config ~options ~key
-                          ~verify:mr.P.mp_verify ~registered:true fut))))
-
-(* --- advisor requests ------------------------------------------------ *)
-
-(* Content address of an advisor run: benchmark and the full geometry /
-   area / page tuple the analysis depends on.  "advise-" keeps the
-   namespace disjoint from sim and mp keys; the summary cache and
-   in-flight table are advise-private (the store persists only
-   [Stats.t]). *)
-let advise_key (ar : P.advise_request) =
-  "advise-"
-  ^ Digest.to_hex
-      (Digest.string
-         (Marshal.to_string
-            ( ar.P.ad_benchmark,
-              ar.P.ad_size_kb,
-              ar.P.ad_ways,
-              ar.P.ad_line_bytes,
-              ar.P.ad_area_kb,
-              ar.P.ad_page_bytes )
-            []))
-
-let run_advise_computation t ~prep ~(ar : P.advise_request) ~geometry ~key
-    ~registered fut =
-  let outcome =
-    match
-      Wp_advise.Advisor.analyze ~benchmark:ar.P.ad_benchmark
-        ~graph:prep.Runner.program.Wp_workloads.Codegen.graph
-        ~profile:prep.Runner.profile_small ~trace:prep.Runner.trace_large
-        ~layout:prep.Runner.placed_layout ~geometry
-        ~page_bytes:ar.P.ad_page_bytes
-        ~area_bytes:(ar.P.ad_area_kb * 1024)
-        ~energy:
-          (Wp_sim.Config.xscale Wp_sim.Config.Baseline).Wp_sim.Config.energy
-        ()
-    with
-    | report ->
-        Atomic.incr t.computations;
-        let result = P.advise_result_of_report ~key ~source:P.Computed report in
-        (* publish before deregistering (same invariant as the store):
-           a request missing the in-flight table afterwards must hit
-           the cache *)
-        Mutex.lock t.advise_lock;
-        Hashtbl.replace t.advise_cache key result;
-        if registered then Hashtbl.remove t.advise_inflight key;
-        Mutex.unlock t.advise_lock;
-        Ok result
-    | exception exn ->
-        if registered then begin
-          Mutex.lock t.advise_lock;
-          Hashtbl.remove t.advise_inflight key;
-          Mutex.unlock t.advise_lock
-        end;
-        Error (Printf.sprintf "computation failed: %s" (Printexc.to_string exn))
-  in
-  Future.fulfill fut outcome
-
-let submit_advise t ~prep ~ar ~geometry ~key ~registered fut =
-  let task () =
-    run_advise_computation t ~prep ~ar ~geometry ~key ~registered fut
-  in
-  if not (Pool.Executor.submit t.exec task) then task ()
-
-let complete_advise t conn id ~source outcome =
-  match outcome with
-  | Ok r ->
-      complete conn
-        { P.id; reply = P.Advise_reply { r with P.adr_source = source } }
-  | Error msg -> complete_error t conn id msg
-
-let handle_advise t conn id (ar : P.advise_request) =
-  Atomic.incr t.sim_requests;
-  match
-    Wp_cache.Geometry.make
-      ~size_bytes:(ar.P.ad_size_kb * 1024)
-      ~assoc:ar.P.ad_ways ~line_bytes:ar.P.ad_line_bytes
-  with
-  | exception Invalid_argument msg -> reply_error t conn id msg
-  | geometry -> (
-      match Wp_sim.Sweep.prepared t.engine ar.P.ad_benchmark with
-      | exception Not_found ->
-          reply_error t conn id
-            (Printf.sprintf "unknown benchmark %S" ar.P.ad_benchmark)
-      | exception exn ->
-          reply_error t conn id
-            (Printf.sprintf "prepare failed: %s" (Printexc.to_string exn))
-      | prep ->
-          let key = advise_key ar in
-          if ar.P.ad_no_cache then begin
-            let fut = Future.create () in
-            dispatch conn;
-            Future.on_ready fut (complete_advise t conn id ~source:P.Computed);
-            submit_advise t ~prep ~ar ~geometry ~key ~registered:false fut
-          end
-          else begin
-            Mutex.lock t.advise_lock;
-            match Hashtbl.find_opt t.advise_cache key with
-            | Some r ->
-                Mutex.unlock t.advise_lock;
-                Atomic.incr t.hits_memory;
-                reply conn
-                  {
-                    P.id;
-                    reply = P.Advise_reply { r with P.adr_source = P.Memory };
-                  }
-            | None -> (
-                match Hashtbl.find_opt t.advise_inflight key with
-                | Some fut ->
-                    Mutex.unlock t.advise_lock;
-                    Atomic.incr t.coalesced_count;
-                    dispatch conn;
-                    Future.on_ready fut
-                      (complete_advise t conn id ~source:P.Coalesced)
-                | None ->
-                    let fut = Future.create () in
-                    Hashtbl.replace t.advise_inflight key fut;
-                    Mutex.unlock t.advise_lock;
-                    dispatch conn;
-                    Future.on_ready fut
-                      (complete_advise t conn id ~source:P.Computed);
-                    submit_advise t ~prep ~ar ~geometry ~key ~registered:true
-                      fut)
-          end)
+          let cell_error msg =
+            Atomic.incr g_errors;
+            Atomic.incr t.errors;
+            emit (Error msg)
+          in
+          match
+            let* config =
+              P.config_of_geometry ~scheme ~size_kb ~ways
+                ~line_bytes:gr.P.g_line_bytes
+            in
+            sim_job t ~bench ~config ~no_cache:gr.P.g_no_cache ~verify:false
+          with
+          | Error msg -> cell_error msg
+          | Ok job ->
+              resolve t job (fun source outcome ->
+                  match Result.bind outcome (sim_result job source) with
+                  | Ok r ->
+                      Atomic.incr
+                        (match source with
+                        | P.Computed -> computed
+                        | P.Memory -> g_memory
+                        | P.Disk -> g_disk
+                        | P.Coalesced -> g_coalesced);
+                      emit (Ok r)
+                  | Error msg -> cell_error msg))
+        cells
 
 let handle_line t conn line =
   Atomic.incr t.requests;
@@ -808,17 +587,39 @@ let handle_line t conn line =
       | P.Shutdown ->
           reply conn { P.id; reply = P.Shutting_down };
           stop t
-      | P.Sim sr -> handle_sim t conn id sr
-      | P.Mp mr -> handle_mp t conn id mr
-      | P.Advise ar -> handle_advise t conn id ar
-      | P.Grid gr -> handle_grid t conn id gr)
+      | P.Sim sr -> answer t conn id (sim_request t sr)
+      | P.Mp mr -> answer t conn id (mp_request mr)
+      | P.Advise ar -> answer t conn id (advise_request t ar)
+      | P.Grid gr ->
+          Atomic.incr t.sim_requests;
+          handle_grid t conn id gr)
 
 (* --- connection threads --------------------------------------------- *)
 
+(* The longest request line read: a grid over every benchmark, scheme
+   and geometry is a few kilobytes. *)
+let max_line_bytes = 1 lsl 20
+
+(* [input_line] that stops at [max_line_bytes]: [None] past the cap. *)
+let input_bounded_line ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Some (Buffer.contents buf)
+    | _ when Buffer.length buf >= max_line_bytes -> None
+    | c ->
+        Buffer.add_char buf c;
+        go ()
+    | exception End_of_file when Buffer.length buf > 0 ->
+        Some (Buffer.contents buf)
+  in
+  go ()
+
 let reader_loop t conn () =
+  let buf = Buffer.create 256 in
   let rec loop () =
-    match input_line conn.ic with
-    | line ->
+    match input_bounded_line conn.ic buf with
+    | Some line ->
         (* isolate the handler: a crashing request must answer that
            request, not end the connection *)
         (try handle_line t conn line
@@ -826,6 +627,11 @@ let reader_loop t conn () =
            reply_error t conn 0
              (Printf.sprintf "internal error: %s" (Printexc.to_string exn)));
         loop ()
+    | None ->
+        (* the rest of the line is unbounded: answer and hang up *)
+        Atomic.incr t.requests;
+        reply_error t conn 0
+          (Printf.sprintf "request line longer than %d bytes" max_line_bytes)
     | exception End_of_file -> ()
     | exception Sys_error _ -> ()
   in

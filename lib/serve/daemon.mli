@@ -8,15 +8,25 @@
       threads per {e connection}, not per request;
     - simulations are scheduled on a persistent
       {!Wp_sim.Sweep.Pool.Executor} domain pool;
-    - results come from a content-addressed {!Store} (hot memory +
-      optional disk persistence), and {e in-flight} identical requests
-      coalesce onto one computation through a table of futures — the
+    - one job pipeline serves every request kind: a [Sim] request,
+      each cell of a [Grid], an [Mp] mix and an [Advise] query become
+      a job (content address, compute, optional reference-loop
+      verification) resolved by the same code — a lookup in the
+      content-addressed {!Store} (hot memory + optional disk
+      persistence), then coalescing of {e in-flight} identical jobs
+      onto one computation through a single in-flight table (the
       sweep engine's shared-baseline dedup generalised to live
-      traffic;
+      traffic), then the executor.  The store holds every kind's full
+      result, so mp and advise answers survive a restart exactly like
+      sims;
     - per-request error isolation: a malformed line, unknown
       benchmark, invalid configuration or crashing computation answers
       that request with {!Protocol.Error_reply} and nothing else —
-      the connection stays up, the daemon stays up.
+      the connection stays up, the daemon stays up.  A request line
+      longer than a fixed cap (1 MiB, far above any legitimate
+      request) is answered with an error and ends that connection
+      only, so a peer that never sends a newline cannot grow the
+      daemon's memory.
 
     Graceful shutdown (a [shutdown] request, or {!stop}): the listener
     closes immediately, connected clients keep being served until they
@@ -56,8 +66,7 @@ val stop : t -> unit
     still waits for connected clients to disconnect. *)
 
 val computations : t -> int
-(** Simulator runs so far — the counter the O(1)-warm-repeat
-    acceptance test reads. *)
+(** Computations (sim, mp and advise runs) so far — the counter the
+    O(1)-warm-repeat acceptance test reads. *)
 
 val server_stats : t -> Protocol.server_stats
-val store : t -> Store.t

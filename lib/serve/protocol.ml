@@ -245,10 +245,8 @@ let sim_result_of_stats ~key ~source (stats : Stats.t) =
     total_energy_pj = Stats.total_energy_pj stats;
   }
 
-(* The multiprogrammed counterpart of [sim_result].  [mp_switches] and
-   [mp_kernel_runs] are machine-level facts the store does not persist
-   (it stores only the aggregate [Stats.t]); a disk hit served by a
-   daemon that never ran the mix reports them as [-1]. *)
+(* The multiprogrammed counterpart of [sim_result], with the
+   machine-level switch and kernel-run counts of the run. *)
 type mp_result = {
   mpr_key : string;
   mpr_source : source;

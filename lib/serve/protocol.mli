@@ -229,10 +229,8 @@ type mp_result = {
   mpr_cycles : int;
   mpr_retired : int;
   mpr_processes : int;
-  mpr_switches : int;
-      (** machine-level fact the store does not persist: a disk hit
-          served by a daemon that never ran the mix reports [-1] *)
-  mpr_kernel_runs : int;  (** [-1] under the same condition *)
+  mpr_switches : int;  (** dispatches that changed the running process *)
+  mpr_kernel_runs : int;
   mpr_icache_energy_pj : float;
   mpr_total_energy_pj : float;
 }

@@ -1,11 +1,14 @@
-module Stats = Wp_sim.Stats
+module Config = Wp_sim.Config
+module Runner = Wp_sim.Runner
 
-let magic = "wpstore1\n"
+(* Bumped whenever the payload type changes: entries written under an
+   older magic fail the header check and are evicted, never misread. *)
+let magic = "wpstore2\n"
 
-type t = {
+type 'v t = {
   dir : string option;
   lock : Mutex.t;  (** guards [table] *)
-  table : (string, Stats.t) Hashtbl.t;
+  table : (string, 'v) Hashtbl.t;
   evictions : int Atomic.t;
   write_failures : int Atomic.t;
 }
@@ -52,21 +55,48 @@ let create ?dir () =
           write_failures = Atomic.make 0;
         }
 
-let dir t = t.dir
+(* The program keeps Marshal's sharing: it is a large graph generated
+   deterministically, sharing included, so its encoding is stable
+   across processes.  Configs and mixes are small plain data and go
+   through [No_sharing], which makes their digests functions of the
+   value alone. *)
+let code_digest (prep : Runner.prepared) config =
+  Digest.string
+    (Marshal.to_string
+       ( prep.Runner.program,
+         Wp_layout.Binary_layout.order (Runner.layout_for prep config) )
+       [])
 
-let key ~program ~order ~config =
-  Digest.to_hex (Digest.string (Marshal.to_string (program, order, config) []))
+let address kind parts =
+  kind ^ "-" ^ Digest.to_hex (Digest.string (String.concat "" parts))
+
+let sim_address ~code config = address "sim" [ code; Config.digest config ]
+
+let mp_address mix config options =
+  address "mp"
+    [
+      Digest.string (Marshal.to_string (mix, options) [ Marshal.No_sharing ]);
+      Config.digest config;
+    ]
+
+let advise_address ~code ~benchmark ~page_bytes config =
+  address "advise"
+    [ code; Config.digest config; Printf.sprintf "%d %s" page_bytes benchmark ]
 
 let stats_digest stats = Digest.to_hex (Digest.string (Marshal.to_string stats []))
 
-(* Only content-address hex digests are ever used as keys, so the key
-   doubles as a safe file name; reject anything else defensively
-   rather than let a crafted key escape the store directory. *)
+(* Only content addresses — a lowercase kind, a dash, an MD5 hex
+   digest — are ever used as keys, so the key doubles as a safe file
+   name; reject anything else defensively rather than let a crafted
+   key escape the store directory. *)
 let valid_key k =
-  String.length k = 32
+  let n = String.length k - 33 in
+  n > 0
+  && k.[n] = '-'
+  && String.for_all (function 'a' .. 'z' -> true | _ -> false) (String.sub k 0 n)
   && String.for_all
        (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       k
+       (String.sub k (n + 1) 32)
 
 let entry_path dir k = Filename.concat dir k
 
@@ -93,8 +123,8 @@ let decode_entry contents =
     let payload = String.sub contents (mlen + dlen) (String.length contents - mlen - dlen) in
     if Digest.string payload <> digest then None
     else
-      match (Marshal.from_string payload 0 : Stats.t) with
-      | stats -> Some stats
+      match Marshal.from_string payload 0 with
+      | v -> Some v
       | exception _ -> None
   end
 
@@ -106,7 +136,7 @@ let load_disk t k =
       if not (Sys.file_exists path) then None
       else
         match Option.bind (read_file path) decode_entry with
-        | Some stats -> Some stats
+        | Some v -> Some v
         | None ->
             (* corrupt, truncated or empty: evict and recompute *)
             (try Sys.remove path with Sys_error _ -> ());
@@ -114,13 +144,13 @@ let load_disk t k =
             None)
   | Some _ -> None
 
-let store_disk t k stats =
+let store_disk t k v =
   match t.dir with
   | None -> ()
   | Some d when valid_key k -> (
       let path = entry_path d k in
       if not (Sys.file_exists path) then begin
-        let payload = Marshal.to_string stats [] in
+        let payload = Marshal.to_string v [] in
         let tmp =
           Filename.concat d
             (Printf.sprintf ".tmp-%d-%d-%s"
@@ -163,29 +193,29 @@ let find t k =
   let hot = Hashtbl.find_opt t.table k in
   Mutex.unlock t.lock;
   match hot with
-  | Some stats -> Some (stats, `Memory)
+  | Some v -> Some (v, `Memory)
   | None -> (
       match load_disk t k with
       | None -> None
-      | Some stats ->
+      | Some v ->
           Mutex.lock t.lock;
           (* another thread may have promoted it meanwhile; keep the
              first so every memory hit returns one shared value *)
-          let stats =
+          let v =
             match Hashtbl.find_opt t.table k with
             | Some existing -> existing
             | None ->
-                Hashtbl.replace t.table k stats;
-                stats
+                Hashtbl.replace t.table k v;
+                v
           in
           Mutex.unlock t.lock;
-          Some (stats, `Disk))
+          Some (v, `Disk))
 
-let put t k stats =
+let put t k v =
   Mutex.lock t.lock;
-  if not (Hashtbl.mem t.table k) then Hashtbl.replace t.table k stats;
+  if not (Hashtbl.mem t.table k) then Hashtbl.replace t.table k v;
   Mutex.unlock t.lock;
-  store_disk t k stats
+  store_disk t k v
 
 let memory_entries t =
   Mutex.lock t.lock;

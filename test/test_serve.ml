@@ -325,10 +325,7 @@ let fresh_stats =
          let sr = P.sim_request ~benchmark:"crc" ~scheme () in
          let config = ok_or_fail "config" (P.config_of_sim sr) in
          let key =
-           Store.key ~program:prep.Runner.program
-             ~order:
-               (Wayplace.Layout.Binary_layout.order (Runner.layout_for prep config))
-             ~config
+           Store.sim_address ~code:(Store.code_digest prep config) config
          in
          (key, Runner.run_scheme prep config))
        [ Config.Baseline; Config.Way_placement { area_bytes = 16 * 1024 } ])
@@ -393,7 +390,7 @@ let test_store_corruption_recovery () =
       ("wrong magic", "NOTMAGIC\n" ^ String.make 40 'x');
       ( "torn payload",
         (* valid magic, digest of a different payload *)
-        "wpstore1\n" ^ String.make 16 'd' ^ "garbage payload" );
+        "wpstore2\n" ^ String.make 16 'd' ^ "garbage payload" );
     ]
   in
   List.iter
@@ -463,6 +460,32 @@ let test_store_unwritable_dir () =
   | Ok _ -> Alcotest.fail "store created under a nonexistent root"
   | Error msg ->
       Alcotest.(check bool) "diagnostic not empty" true (String.length msg > 0)
+
+let test_store_key_ignores_sharing () =
+  let prep = Runner.prepare (Wayplace.Workloads.Mibench.find "crc") in
+  let mix = ok_or_fail "mix" (Wayplace.Mp.Mix.of_names [ "crc"; "sha" ]) in
+  let options = Wayplace.Mp.Machine.default_options in
+  List.iter
+    (fun scheme ->
+      let shared = Config.xscale scheme in
+      let copied =
+        Config.with_icache (Config.xscale scheme)
+          (Config.xscale scheme).Config.icache
+      in
+      Alcotest.(check bool) "xscale shares its geometry" true
+        (shared.Config.icache == shared.Config.dcache);
+      Alcotest.(check bool) "with_icache copy does not" false
+        (copied.Config.icache == copied.Config.dcache);
+      Alcotest.(check bool) "structurally equal" true (shared = copied);
+      let sim config =
+        Store.sim_address ~code:(Store.code_digest prep config) config
+      in
+      Alcotest.(check string) "equal configs, one sim key" (sim shared)
+        (sim copied);
+      Alcotest.(check string) "equal configs, one mp key"
+        (Store.mp_address mix shared options)
+        (Store.mp_address mix copied options))
+    [ Config.Baseline; Config.Way_placement { area_bytes = 16 * 1024 } ]
 
 (* --- daemon integration --------------------------------------------- *)
 
@@ -644,6 +667,122 @@ let test_daemon_persistence_across_restart () =
                 r.P.digest;
               Alcotest.(check int) "one computation" 1
                 (Daemon.computations daemon))))
+
+let persist_mp =
+  P.mp_request ~mix:"crc,sha" ~quantum:10_000
+    ~scheme:(Config.Way_placement { area_bytes = 16 * 1024 })
+    ()
+
+let persist_advise =
+  P.advise_request ~size_kb:1 ~ways:8 ~line_bytes:32 ~area_kb:2
+    ~page_bytes:1024 ~benchmark:"crc" ()
+
+let test_daemon_mp_advise_persist () =
+  with_store_dir (fun dir ->
+      let first = ref None in
+      with_daemon ~workers:1 ~store_dir:dir (fun daemon endpoint ->
+          let client = ok_or_fail "connect" (Client.connect endpoint) in
+          Fun.protect
+            ~finally:(fun () -> Client.close client)
+            (fun () ->
+              let m = ok_or_fail "mp" (Client.mp client persist_mp) in
+              let a = ok_or_fail "advise" (Client.advise client persist_advise) in
+              Alcotest.(check bool) "mp computed" true
+                (m.P.mpr_source = P.Computed);
+              Alcotest.(check bool) "advise computed" true
+                (a.P.adr_source = P.Computed);
+              Alcotest.(check bool) "switches observed" true
+                (m.P.mpr_switches > 0);
+              Alcotest.(check int) "two computations" 2
+                (Daemon.computations daemon);
+              first := Some (m, a)));
+      let m1, a1 = Option.get !first in
+      (* a new daemon on the same store answers both from disk, with
+         the machine facts the computation reported *)
+      with_daemon ~workers:1 ~store_dir:dir (fun daemon endpoint ->
+          let client = ok_or_fail "connect" (Client.connect endpoint) in
+          Fun.protect
+            ~finally:(fun () -> Client.close client)
+            (fun () ->
+              let m = ok_or_fail "mp after restart" (Client.mp client persist_mp) in
+              let a =
+                ok_or_fail "advise after restart"
+                  (Client.advise client persist_advise)
+              in
+              Alcotest.(check bool) "mp disk hit" true (m.P.mpr_source = P.Disk);
+              Alcotest.(check bool) "advise disk hit" true
+                (a.P.adr_source = P.Disk);
+              Alcotest.(check string) "mp bit-identical" m1.P.mpr_digest
+                m.P.mpr_digest;
+              Alcotest.(check string) "advise bit-identical" a1.P.adr_digest
+                a.P.adr_digest;
+              Alcotest.(check int) "switches persisted" m1.P.mpr_switches
+                m.P.mpr_switches;
+              Alcotest.(check int) "kernel runs persisted" m1.P.mpr_kernel_runs
+                m.P.mpr_kernel_runs;
+              Alcotest.(check int) "no computation" 0
+                (Daemon.computations daemon))))
+
+(* A request line without a newline must not grow the daemon without
+   bound: past the cap it gets an error reply and its connection is
+   closed, while other connections keep being served. *)
+let test_daemon_bounds_request_lines () =
+  with_daemon ~workers:1 (fun _daemon endpoint ->
+      let other = ok_or_fail "connect" (Client.connect endpoint) in
+      Fun.protect
+        ~finally:(fun () -> Client.close other)
+        (fun () ->
+          ok_or_fail "ping before" (Client.ping other);
+          let path =
+            match endpoint with
+            | P.Unix_socket p -> p
+            | P.Tcp _ -> Alcotest.fail "expected a Unix socket"
+          in
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX path);
+              (* a daemon that keeps reading would leave the reads
+                 below waiting: time out instead of hanging *)
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+              let flood =
+                Thread.create
+                  (fun () ->
+                    let chunk = Bytes.make 65536 'x' in
+                    try
+                      for _ = 1 to 64 do
+                        ignore (Unix.write fd chunk 0 (Bytes.length chunk))
+                      done
+                    with Unix.Unix_error _ -> ())
+                  ()
+              in
+              let buf = Bytes.create 4096 in
+              let line = Buffer.create 128 in
+              let rec read_reply () =
+                match Unix.read fd buf 0 1 with
+                | 0 -> Alcotest.fail "closed without a reply"
+                | _ when Bytes.get buf 0 = '\n' -> Buffer.contents line
+                | _ ->
+                    Buffer.add_char line (Bytes.get buf 0);
+                    read_reply ()
+                | exception Unix.Unix_error (e, _, _) ->
+                    Alcotest.failf "no reply to the oversized line: %s"
+                      (Unix.error_message e)
+              in
+              (match P.response_of_line (read_reply ()) with
+              | Ok { P.reply = P.Error_reply _; _ } -> ()
+              | Ok _ -> Alcotest.fail "oversized line answered without an error"
+              | Error msg -> Alcotest.failf "unreadable reply: %s" msg);
+              (match Unix.read fd buf 0 (Bytes.length buf) with
+              | 0 -> ()
+              | n -> Alcotest.failf "%d more bytes after the error" n
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+              | exception Unix.Unix_error (e, _, _) ->
+                  Alcotest.failf "connection left open: %s"
+                    (Unix.error_message e));
+              Thread.join flood);
+          ok_or_fail "other connection still served" (Client.ping other)))
 
 (* --- concurrency stress ---------------------------------------------- *)
 
@@ -869,34 +1008,42 @@ let test_daemon_coalesces_inflight () =
         (fun () ->
           (* pipeline a burst of identical fresh requests before the
              first can complete: exactly one computation, everyone
-             answered identically *)
-          let sr = P.sim_request ~benchmark:"sha" ~scheme:Config.Way_prediction () in
-          let n = 16 in
-          let ids = List.init n (fun _ -> Client.send client (P.Sim sr)) in
-          let responses =
-            List.map
-              (fun _ ->
-                match Client.recv client with
-                | Ok r -> r
-                | Error msg -> Alcotest.failf "recv failed: %s" msg)
-              ids
+             answered identically — for every request kind *)
+          let burst payload =
+            let before = Daemon.computations daemon in
+            let n = 16 in
+            let ids = List.init n (fun _ -> Client.send client payload) in
+            let responses =
+              List.map
+                (fun _ ->
+                  match Client.recv client with
+                  | Ok r -> r
+                  | Error msg -> Alcotest.failf "recv failed: %s" msg)
+                ids
+            in
+            Alcotest.(check int) "all answered" n (List.length responses);
+            let digests =
+              List.map
+                (fun r ->
+                  match r.P.reply with
+                  | P.Sim_reply s -> s.P.digest
+                  | P.Mp_reply m -> m.P.mpr_digest
+                  | P.Advise_reply a -> a.P.adr_digest
+                  | P.Error_reply m -> Alcotest.failf "request failed: %s" m
+                  | _ -> Alcotest.fail "unexpected reply")
+                responses
+            in
+            let first = List.hd digests in
+            List.iter
+              (fun d -> Alcotest.(check string) "identical digest" first d)
+              digests;
+            Alcotest.(check int) "burst coalesced onto one computation" 1
+              (Daemon.computations daemon - before)
           in
-          Alcotest.(check int) "all answered" n (List.length responses);
-          let digests =
-            List.map
-              (fun r ->
-                match r.P.reply with
-                | P.Sim_reply s -> s.P.digest
-                | P.Error_reply m -> Alcotest.failf "request failed: %s" m
-                | _ -> Alcotest.fail "unexpected reply")
-              responses
-          in
-          let first = List.hd digests in
-          List.iter
-            (fun d -> Alcotest.(check string) "identical digest" first d)
-            digests;
-          Alcotest.(check int) "burst coalesced onto one computation" 1
-            (Daemon.computations daemon)))
+          burst
+            (P.Sim (P.sim_request ~benchmark:"sha" ~scheme:Config.Way_prediction ()));
+          burst (P.Mp persist_mp);
+          burst (P.Advise persist_advise)))
 
 let test_daemon_grid () =
   with_daemon ~workers:2 (fun daemon endpoint ->
@@ -1097,6 +1244,8 @@ let () =
             test_store_rejects_traversal_keys;
           Alcotest.test_case "unwritable directory is a clean error" `Quick
             test_store_unwritable_dir;
+          Alcotest.test_case "keys ignore config sharing" `Quick
+            test_store_key_ignores_sharing;
         ] );
       ( "daemon",
         [
@@ -1110,6 +1259,10 @@ let () =
             test_daemon_advise;
           Alcotest.test_case "store survives a restart" `Quick
             test_daemon_persistence_across_restart;
+          Alcotest.test_case "mp and advise survive a restart" `Quick
+            test_daemon_mp_advise_persist;
+          Alcotest.test_case "oversized line: error, then hang up" `Quick
+            test_daemon_bounds_request_lines;
           Alcotest.test_case "grid batch: stream, share, memoise" `Quick
             test_daemon_grid;
           Alcotest.test_case "loadtest counts grid cells" `Quick
