@@ -817,6 +817,12 @@ let perf_rows () =
               pr_cache_inserts = 0;
             }
           in
+          (* One untimed run first.  The first run on a trace pays
+             one-off costs (the data side's outcome log, the
+             fast-forward plan), so a cold first pair has an inflated
+             fast sample, and its low path/fast ratio is the one the
+             paired-min estimator would pick. *)
+          ignore (Runner.run_scheme ~fastforward:true prepared config);
           (* The fast, fast-forward and probed samples are interleaved
              (fast, ff, probed, fast, ff, probed, ...) so that host load
              drifting over the measurement window lands on every path
@@ -919,9 +925,11 @@ let write_perf_json path rows =
       Printf.fprintf oc "  \"generated_by\": \"bench/main.exe perf\",\n";
       Printf.fprintf oc
         "  \"host\": {\"hostname\": \"%s\", \"os\": \"%s\", \
-         \"recommended_domains\": %d, \"timing_domains\": 1},\n"
+         \"ocaml\": \"%s\", \"nproc\": %d, \"recommended_domains\": %d, \
+         \"timing_domains\": 1},\n"
         (esc (Unix.gethostname ()))
-        (esc Sys.os_type)
+        (esc Sys.os_type) (esc Sys.ocaml_version)
+        (Domain.recommended_domain_count ())
         (Domain.recommended_domain_count ());
       Printf.fprintf oc "  \"repeat\": %d,\n" (max 1 !perf_repeat);
       Printf.fprintf oc "  \"results\": [\n";

@@ -550,7 +550,14 @@ let check_windows ~where ~seed ?stats prepared (config : Config.t) =
    attached, against a fast-path run with fast-forward forced off, and
    against the per-instruction reference loop, so a fuzz failure
    distinguishes a cache-reuse bug from a fast-forward bug from a
-   fast-path bug. *)
+   fast-path bug.
+
+   The fast path charges the data side from an outcome log the grid
+   has already warmed for the XScale D-cache.  A variant of the cell
+   with another D-cache geometry and D-TLB size must get a log of its
+   own: its fast runs, with fast-forward off and on, are checked
+   against its own reference run, so a log key that leaves out a
+   D-state field shows up as a divergence. *)
 
 (* One cache across the whole fuzz corpus: later seeds run against
    entries published by earlier ones, which is exactly the cross-run
@@ -617,7 +624,43 @@ let check_fastpath ~where prepared (config : Config.t) (fast : Stats.t) =
               (Format.asprintf "%a" Stats.pp_diff (fast, reference));
           ]
   in
-  cached_ff @ no_ff @ vs_reference
+  let dside_variant =
+    let config =
+      {
+        config with
+        dcache = Geometry.make ~size_bytes:1024 ~assoc:4 ~line_bytes:16;
+        dtlb_entries = 4;
+      }
+    in
+    match
+      ( Wp_sim.Simulator.run_compiled ~reference_only:true ~config ~trace
+          compiled,
+        List.map
+          (fun fastforward ->
+            ( fastforward,
+              Wp_sim.Simulator.run_compiled ~fastforward ~config ~trace
+                compiled ))
+          [ false; true ] )
+    with
+    | exception exn ->
+        [
+          Printf.sprintf "%s: D-side variant raised: %s" where
+            (Printexc.to_string exn);
+        ]
+    | reference, runs ->
+        List.filter_map
+          (fun (fastforward, variant) ->
+            if Stats.equal variant reference then None
+            else
+              Some
+                (Printf.sprintf
+                   "%s: D-side variant (fast-forward %b) diverges from its \
+                    reference: %s"
+                   where fastforward
+                   (Format.asprintf "%a" Stats.pp_diff (variant, reference))))
+          runs
+  in
+  cached_ff @ no_ff @ vs_reference @ dside_variant
 
 (* ------------------------------------------------------------------ *)
 (* Multiprogramming checks (PR 8).  Two laws tie the mp machine to the

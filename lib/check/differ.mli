@@ -38,6 +38,12 @@
       at 1, 7 and 1024-cycle windows, with and without a generated
       resize schedule (at block 0, two interior blocks and the last),
       and on a tight-latency variant whose bounds have little slack;
+    - {b fast-path identity} — every cell's run equals a fast-forward
+      run with a shared snapshot cache, a run with fast-forward off and
+      the per-instruction reference loop; and a variant of the cell
+      with another D-cache geometry and D-TLB size, replaying the data
+      side from an outcome log of its own, equals its own reference
+      run;
     - {b multiprogramming laws} — an infinite-quantum, kernel-free
       single-process {!Wp_mp.Machine} run, on the fast path and on the
       reference path alike, is [Stats.equal] to the cell's own

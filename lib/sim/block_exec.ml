@@ -6,7 +6,10 @@ type trace = {
   bodies : Wp_isa.Instr.t array array;
   taken_succs : int array;
   token : int;
+  data_seed : int;
   data : Data_stream.t;
+  mutable outcomes : Bytes.t option;
+  mutable next_op : int;
   stats : Stats.t;
   cycles : int ref;
   instrs : int ref;
@@ -15,6 +18,7 @@ type trace = {
 let trace (config : Config.t) ~stats (tr : Wp_workloads.Tracer.trace)
     compiled =
   let spec = (Compiled_trace.program compiled).Wp_workloads.Codegen.spec in
+  let data_seed = spec.Wp_workloads.Spec.seed lxor 0xDA7A in
   {
     blocks = tr.Wp_workloads.Tracer.blocks;
     info = Compiled_trace.info compiled;
@@ -25,11 +29,80 @@ let trace (config : Config.t) ~stats (tr : Wp_workloads.Tracer.trace)
     bodies = Compiled_trace.bodies compiled;
     taken_succs = Compiled_trace.taken_succs compiled;
     token = Compiled_trace.token compiled;
-    data = Data_stream.create ~seed:(spec.Wp_workloads.Spec.seed lxor 0xDA7A);
+    data_seed;
+    data = Data_stream.create ~seed:data_seed;
+    outcomes = None;
+    next_op = 0;
     stats;
     cycles = ref 0;
     instrs = ref 0;
   }
+
+(* The outcome log: one {!Dmem.lookup} result per memory op, in trace
+   order, from one lookup-only pass over a fresh data side.  The key
+   holds exactly what [lookup] reads of the config, plus the data
+   stream's seed; latencies, energy and observers stay out, because
+   [charge] reads those from the run's own [Dmem].  Like the
+   fast-forward plan, a log is keyed on the physical block array: the
+   memory ops it walks are derived from the program, so they are
+   constants of a given trace, and every layout and I-side scheme
+   replayed from it shares the log. *)
+type dkey = {
+  dcache : Wp_cache.Geometry.t;
+  replacement : Wp_cache.Replacement.t;
+  dtlb_entries : int;
+  page_bytes : int;
+  seed : int;
+}
+
+let logs : (int array, dkey, Bytes.t) Weak_memo.t = Weak_memo.create 64
+
+let outcome_pass (config : Config.t) t =
+  let dmem = Dmem.create config in
+  let data = Data_stream.create ~seed:t.data_seed in
+  let n =
+    Array.fold_left
+      (fun n id -> n + Array.length t.info.(id).Compiled_trace.mem)
+      0 t.blocks
+  in
+  let log = Bytes.create n in
+  let i = ref 0 in
+  Array.iter
+    (fun id ->
+      Array.iter
+        (fun (op : Compiled_trace.mem_op) ->
+          Bytes.set log !i
+            (Char.unsafe_chr
+               (Dmem.lookup dmem (Data_stream.next data op.locality)));
+          incr i)
+        t.info.(id).Compiled_trace.mem)
+    t.blocks;
+  log
+
+let replay_data (config : Config.t) t =
+  if !(t.instrs) > 0 || Option.is_some t.outcomes then
+    invalid_arg "Block_exec.replay_data: trace already started";
+  let key =
+    {
+      dcache = config.dcache;
+      replacement = config.replacement;
+      dtlb_entries = config.dtlb_entries;
+      page_bytes = config.page_bytes;
+      seed = t.data_seed;
+    }
+  in
+  t.outcomes <-
+    Some (Weak_memo.memo logs t.blocks key (fun () -> outcome_pass config t))
+
+(* One memory op's data side: charged from the log when the trace
+   replays one, else looked up live. *)
+let[@inline] data_access dmem t locality ~write =
+  match t.outcomes with
+  | Some log ->
+      let i = t.next_op in
+      t.next_op <- i + 1;
+      Dmem.charge dmem t.stats (Char.code (Bytes.unsafe_get log i))
+  | None -> Dmem.access dmem t.stats (Data_stream.next t.data locality) ~write
 
 let settle t =
   t.stats.Stats.cycles <- !(t.cycles);
@@ -74,7 +147,7 @@ let exec m t k ~limit =
   let mem = b.Compiled_trace.mem in
   let n_mem = Array.length mem in
   let engine = m.engine and dmem = m.dmem in
-  let stats = t.stats and data = t.data in
+  let stats = t.stats in
   let cycles = ref 0 in
   let pc = ref b.Compiled_trace.start in
   let off = ref 0 in
@@ -90,8 +163,7 @@ let exec m t k ~limit =
       let op = mem.(!mi) in
       cycles :=
         !cycles
-        + Dmem.access dmem stats
-            (Data_stream.next data op.Compiled_trace.locality)
+        + data_access dmem t op.Compiled_trace.locality
             ~write:op.Compiled_trace.write;
       incr mi
     done;
@@ -130,13 +202,9 @@ let step m t core k ~from =
     let dmem_stall =
       match opcode with
       | Wp_isa.Opcode.Load ->
-          Dmem.access m.dmem t.stats
-            (Data_stream.next t.data instr.Wp_isa.Instr.locality)
-            ~write:false
+          data_access m.dmem t instr.Wp_isa.Instr.locality ~write:false
       | Wp_isa.Opcode.Store ->
-          Dmem.access m.dmem t.stats
-            (Data_stream.next t.data instr.Wp_isa.Instr.locality)
-            ~write:true
+          data_access m.dmem t instr.Wp_isa.Instr.locality ~write:true
       | Wp_isa.Opcode.Alu _ | Mac | Branch | Jump | Call | Return | Nop -> 0
     in
     let taken =
@@ -152,8 +220,27 @@ let step m t core k ~from =
   t.cycles := !(t.cycles) + (Wp_pipeline.Core_model.cycles core - c0);
   t.instrs := !(t.instrs) + (nb - from)
 
+(* Packs a run of 2-bit outcomes into words, 30 per word. *)
+let add_outcomes log ~pos ~n ~add =
+  let w = ref 0 in
+  for i = 0 to n - 1 do
+    w := (!w lsl 2) lor Char.code (Bytes.get log (pos + i));
+    if i mod 30 = 29 then begin
+      add !w;
+      w := 0
+    end
+  done;
+  add !w
+
 let ff_ctx m t ~config ~policy ~report ~cache ~cycle_headroom =
   let info = t.info and blocks = t.blocks in
+  let period_mem ~start ~period =
+    let n = ref 0 in
+    for j = start to start + period - 1 do
+      n := !n + Array.length info.(blocks.(j)).Compiled_trace.mem
+    done;
+    !n
+  in
   {
     Steady_state.policy;
     report;
@@ -181,17 +268,40 @@ let ff_ctx m t ~config ~policy ~report ~cache ~cycle_headroom =
            the data side: its state is neither read nor written across
            the region, so it cannot distinguish boundaries — leave it
            out of the snapshot (the dominant cost for pure-compute
-           loops). *)
-        let period_mem = ref 0 in
-        for j = start to start + period - 1 do
-          period_mem :=
-            !period_mem + Array.length info.(blocks.(j)).Compiled_trace.mem
-        done;
-        if !period_mem > 0 then begin
-          Dmem.fingerprint m.dmem ~add;
-          Data_stream.fingerprint t.data ~add
+           loops).  A replayed data side's state is its log position,
+           and all an iteration can observe of it is its own logged
+           outcomes: those are the fingerprint, and [skip_data] checks
+           that the skipped iterations repeat them. *)
+        let pm = period_mem ~start ~period in
+        if pm > 0 then begin
+          match t.outcomes with
+          | Some log -> add_outcomes log ~pos:t.next_op ~n:pm ~add
+          | None ->
+              Dmem.fingerprint m.dmem ~add;
+              Data_stream.fingerprint t.data ~add
         end;
         Wp_pipeline.Btb.fingerprint m.btb ~add);
+    skip_data =
+      (fun ~start ~period ~iters ->
+        match t.outcomes with
+        | None -> iters
+        | Some log ->
+            let pm = period_mem ~start ~period in
+            if pm = 0 then iters
+            else begin
+              (* Iteration [j] starts at [c + j * pm]; it repeats the
+                 current one iff every outcome equals the one [pm]
+                 earlier. *)
+              let c = t.next_op in
+              let stop = c + (iters * pm) in
+              let i = ref (c + pm) in
+              while !i < stop && Bytes.get log !i = Bytes.get log (!i - pm) do
+                incr i
+              done;
+              let n = min iters ((!i - c) / pm) in
+              t.next_op <- c + (n * pm);
+              n
+            end);
     exec = (fun k -> exec m t k ~limit:max_int);
     set_awake_recorder = Fetch_engine.set_drowsy_recorder m.engine;
     drowsy_advance =
@@ -211,6 +321,9 @@ let ff_ctx m t ~config ~policy ~report ~cache ~cycle_headroom =
     cache_scope =
       (match cache with
       | None -> ""
-      | Some _ -> Printf.sprintf "%d/%s" t.token (Config.digest config));
+      | Some _ ->
+          (* live and logged data sides fingerprint differently *)
+          Printf.sprintf "%d/%s/%s" t.token (Config.digest config)
+            (if Option.is_some t.outcomes then "log" else "live"));
     cycle_headroom;
   }

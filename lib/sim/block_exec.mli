@@ -25,7 +25,12 @@ type trace = private {
   bodies : Wp_isa.Instr.t array array;
   taken_succs : int array;
   token : int;  (** the compiled trace's {!Compiled_trace.token} *)
-  data : Data_stream.t;
+  data_seed : int;  (** the data stream's seed, from the program spec *)
+  data : Data_stream.t;  (** the live data stream *)
+  mutable outcomes : Bytes.t option;
+      (** the outcome log this trace replays its data side from, if
+          {!replay_data} switched it over *)
+  mutable next_op : int;  (** the next memory op's index in the log *)
   stats : Stats.t;  (** receives every counter bump and energy charge *)
   cycles : int ref;  (** cycles this trace has spent so far *)
   instrs : int ref;  (** instructions it has retired so far *)
@@ -39,6 +44,30 @@ val trace :
   trace
 (** Counters at zero and a fresh data stream seeded from the compiled
     program's spec. *)
+
+val replay_data : Config.t -> trace -> unit
+(** Switch the trace's data side from live accesses to replay: from
+    here on every memory op is {!Dmem.charge}d with the next outcome
+    of the trace's outcome log, and the machine's D-cache, D-TLB and
+    data stream are left untouched.  The log holds one {!Dmem.lookup}
+    outcome per memory op in trace order.  It is computed by one
+    lookup-only pass over a fresh data side and memoised, weakly keyed
+    on the physical block array, per D-state key: the config's
+    [dcache], [replacement], [dtlb_entries] and [page_bytes] plus the
+    data stream's seed.  Latencies and energy parameters are not in
+    the key — {!Dmem.charge} reads them from the run's own machine —
+    so runs differing only in those, or only on the I-side, share one
+    log.  [Stats.t], energy and observer events come out exactly as
+    the live data side makes them.
+
+    Only a run on a machine built from a config agreeing on the key may
+    replay, and it must execute every memory op of the trace in order
+    or skip whole iterations through {!ff_ctx}'s [skip_data].  A
+    machine shared by several traces (multiprogramming) must not: its
+    D-TLB shootdowns and shared D-cache make the outcomes depend on
+    the schedule.
+    @raise Invalid_argument if the trace has already retired
+    instructions or already replays. *)
 
 val settle : trace -> unit
 (** Write the trace's cycle and instruction counters into its stats. *)
@@ -87,4 +116,9 @@ val ff_ctx :
   Steady_state.ctx
 (** The fast-forward context replaying [t] on [m] through {!exec}.
     The cache scope is the compiled trace's token plus
-    {!Config.digest}. *)
+    {!Config.digest}, and whether the data side is live or replayed.
+    A live data side is fingerprinted by its D-cache, D-TLB and data
+    stream state.  A replayed one ({!replay_data}) is fingerprinted by
+    the logged outcomes of the iteration starting at the boundary, and
+    its [skip_data] allows only the iterations whose logged outcomes
+    repeat those, moving the log position past them. *)

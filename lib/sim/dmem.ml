@@ -42,13 +42,28 @@ let create ?probe ?sampler (config : Config.t) =
     fill_pj = energies.Wp_energy.Cam_energy.line_fill_pj;
   }
 
-let access t (stats : Stats.t) addr ~write:_ =
+(* Outcome bits: what [charge] needs to know of one access. *)
+let tlb_miss_bit = 1
+let cache_miss_bit = 2
+
+let lookup t addr =
+  let tlb_bits = Wp_tlb.Tlb.lookup_bits t.tlb addr ~wp_bit_of_page:no_wp in
+  let tlb_miss = if tlb_bits land 1 = 1 then 0 else tlb_miss_bit in
+  if Wp_cache.Cam_cache.lookup_full_way t.cache addr >= 0 then tlb_miss
+  else begin
+    let _way, _evicted =
+      Wp_cache.Cam_cache.fill_absent t.cache addr
+        Wp_cache.Cam_cache.Victim_by_policy
+    in
+    tlb_miss lor cache_miss_bit
+  end
+
+let charge t (stats : Stats.t) outcome =
   stats.dcache_accesses <- stats.dcache_accesses + 1;
   let account = stats.account in
   Wp_energy.Account.add_dcache account t.tlb_lookup_pj;
-  let tlb_bits = Wp_tlb.Tlb.lookup_bits t.tlb addr ~wp_bit_of_page:no_wp in
   let tlb_stall =
-    if tlb_bits land 1 = 1 then 0
+    if outcome land tlb_miss_bit = 0 then 0
     else begin
       stats.dtlb_misses <- stats.dtlb_misses + 1;
       Wp_obs.Sink.emit t.sink Wp_obs.Probe.Dtlb_miss;
@@ -56,29 +71,27 @@ let access t (stats : Stats.t) addr ~write:_ =
       t.tlb_walk_latency
     end
   in
-  let hit_way = Wp_cache.Cam_cache.lookup_full_way t.cache addr in
+  let miss = outcome land cache_miss_bit <> 0 in
   (match t.sink with
   | Wp_obs.Sink.Quiet -> ()
-  | Events p -> p (Wp_obs.Probe.Dcache_access { miss = hit_way < 0 })
+  | Events p -> p (Wp_obs.Probe.Dcache_access { miss })
   | Tally s ->
       Wp_obs.Sampler.count s Dcache_accesses 1;
-      if hit_way < 0 then Wp_obs.Sampler.count s Dcache_misses 1);
+      if miss then Wp_obs.Sampler.count s Dcache_misses 1);
   Wp_energy.Account.add_dcache account t.tag_full_pj;
   Wp_energy.Account.add_dcache account t.dw_pj;
   let miss_stall =
-    if hit_way >= 0 then 0
+    if not miss then 0
     else begin
       stats.dcache_misses <- stats.dcache_misses + 1;
-      let _way, _evicted =
-        Wp_cache.Cam_cache.fill_absent t.cache addr
-          Wp_cache.Cam_cache.Victim_by_policy
-      in
       Wp_energy.Account.add_dcache account t.fill_pj;
       Wp_energy.Account.add_memory account t.memory_access_pj;
       t.memory_latency
     end
   in
   tlb_stall + miss_stall
+
+let access t stats addr ~write:_ = charge t stats (lookup t addr)
 
 let stall_bound t = t.tlb_walk_latency + t.memory_latency
 

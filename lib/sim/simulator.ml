@@ -68,7 +68,9 @@ let run_plain ~ff m (t : Block_exec.trace) =
    runs need not report their retires one by one — only the cumulative
    clock matters, and only where it is read: before stepping, before a
    resize (its marker is stamped with the clock) and at the end.
-   Resize points are block indices, applied before the block. *)
+   Resize points are block indices, applied before the block.  Batched
+   and stepped ops alike charge the data side from the outcome log, in
+   trace order, at the point a live access would. *)
 let run_observed ~sampler ~schedule (m : Block_exec.machine)
     (t : Block_exec.trace) =
   let engine = m.engine and info = t.info and blocks = t.blocks in
@@ -200,7 +202,9 @@ let run_compiled ?probe ?sampler ?(schedule = []) ?(reference_only = false)
   (match (probe, sampler, schedule, reference_only) with
   | None, None, [], false ->
       (* Fast-forward only ever engages here, so its bail-out conditions
-         are structural. *)
+         are structural.  Either way the data side replays from the
+         trace's outcome log. *)
+      Block_exec.replay_data config t;
       let ff_enabled =
         match fastforward with
         | Some b -> b
@@ -222,6 +226,7 @@ let run_compiled ?probe ?sampler ?(schedule = []) ?(reference_only = false)
   | None, _, _, false ->
       (* A sampler or a resize schedule: the batched loop, with window
          boundaries and resize points as breakpoints. *)
+      Block_exec.replay_data config t;
       run_observed ~sampler ~schedule m t
   | Some _, _, _, _ | None, _, _, true ->
       (* A general probe sees one event per access, so it needs the

@@ -16,7 +16,10 @@
     otherwise — also under a {!Wp_obs.Sampler} or a resize schedule,
     which become breakpoints: resizes apply between blocks, and a block
     that could reach the sampler's next window boundary is stepped
-    through the reference loop's per-instruction body.  Both produce
+    through the reference loop's per-instruction body.  The fast path
+    charges the data side from the trace's memoised outcome log
+    ({!Block_exec.replay_data}); the reference path runs it live.  Both
+    produce
     exactly equal {!Stats.t} ({!Stats.equal}, bit-identical energy),
     and a sampler builds bit-identical windows on either — invariants
     enforced by the differential fuzzer ([Check.Differ]),

@@ -106,6 +106,7 @@ type ctx = {
   n_instrs_of : int -> int;
   stream_invariant : start:int -> period:int -> bool;
   fingerprint : start:int -> period:int -> add:(int -> unit) -> unit;
+  skip_data : start:int -> period:int -> iters:int -> int;
   exec : int -> unit;
   set_awake_recorder : (int -> unit) option -> unit;
   drowsy_advance : since:int -> delta:int -> unit;
@@ -309,44 +310,11 @@ let scan ~blocks ~n_ids ~(policy : policy) ~n_instrs_of ~stream_invariant =
    every layout/scheme compiled from it shares the plan.  Keys are
    held weakly: generated traces (the fuzz corpus) must not accumulate
    here, and a dead trace's plan goes with it. *)
-let plan_slots = 64
-let plan_keys : int array Weak.t = Weak.create plan_slots
-let plan_vals : (policy * plan) option array = Array.make plan_slots None
-let plan_clock = ref 0
-let plan_lock = Mutex.create ()
-
-let plan_find blocks policy =
-  let rec go i =
-    if i >= plan_slots then None
-    else
-      match (Weak.get plan_keys i, plan_vals.(i)) with
-      | Some b, Some (pol, pl) when b == blocks && pol = policy -> Some pl
-      | _ -> go (i + 1)
-  in
-  go 0
+let plans : (int array, policy, plan) Weak_memo.t = Weak_memo.create 64
 
 let plan_for ~blocks ~n_ids ~policy ~n_instrs_of ~stream_invariant =
-  Mutex.lock plan_lock;
-  let hit = plan_find blocks policy in
-  Mutex.unlock plan_lock;
-  match hit with
-  | Some pl -> pl
-  | None -> (
-      (* Scan outside the lock — it's pure; a racing domain at worst
-         duplicates the work and the first insert wins. *)
-      let pl = scan ~blocks ~n_ids ~policy ~n_instrs_of ~stream_invariant in
-      Mutex.lock plan_lock;
-      match plan_find blocks policy with
-      | Some pl' ->
-          Mutex.unlock plan_lock;
-          pl'
-      | None ->
-          let i = !plan_clock mod plan_slots in
-          plan_clock := !plan_clock + 1;
-          Weak.set plan_keys i (Some blocks);
-          plan_vals.(i) <- Some (policy, pl);
-          Mutex.unlock plan_lock;
-          pl)
+  Weak_memo.memo plans blocks policy (fun () ->
+      scan ~blocks ~n_ids ~policy ~n_instrs_of ~stream_invariant)
 
 (* {2 The replay-time driver} *)
 
@@ -415,16 +383,21 @@ let take_snapshot d buf ~start ~period =
 (* Largest number of iterations a skip may apply: the remaining full
    in-pattern repetitions, clamped by the caller's cycle headroom so a
    quantum-metered replay stops on exactly the block boundary the
-   plain loop would have stopped on. *)
-let clamp_iters d ~n_rem ~iter_cycles =
-  match d.ctx.cycle_headroom with
-  | None -> n_rem
-  | Some headroom ->
-      if iter_cycles <= 0 then n_rem
-      else
-        let h = headroom () in
-        let fit = if h <= 0 then 0 else h / iter_cycles in
-        if fit < n_rem then fit else n_rem
+   plain loop would have stopped on, then by the data side.  The data
+   side moves past the iterations it allows, so the caller must apply
+   exactly the returned count. *)
+let clamp_iters d ~n_rem ~iter_cycles ~period =
+  let m =
+    match d.ctx.cycle_headroom with
+    | None -> n_rem
+    | Some headroom ->
+        if iter_cycles <= 0 then n_rem
+        else
+          let h = headroom () in
+          let fit = if h <= 0 then 0 else h / iter_cycles in
+          if fit < n_rem then fit else n_rem
+  in
+  if m <= 0 then m else d.ctx.skip_data ~start:!(d.k) ~period ~iters:m
 
 (* Apply [iters] repetitions of a converged iteration's effects.  The
    caller guarantees the machine currently sits at an iteration
@@ -470,7 +443,10 @@ let try_cache d ~buf ~ids ~p ~je =
       | None -> (Some key, false)
       | Some e ->
           let n_rem = (je - 1 - !(d.k)) / p in
-          let m = clamp_iters d ~n_rem ~iter_cycles:e.Snapshot_cache.e_cycles in
+          let m =
+            clamp_iters d ~n_rem ~iter_cycles:e.Snapshot_cache.e_cycles
+              ~period:p
+          in
           if m <= 0 then (Some key, false)
           else begin
             d.ctx.report.cache_hits <- d.ctx.report.cache_hits + 1;
@@ -612,7 +588,7 @@ let attempt d ~p ~je ~skippable ~until =
               publish d ~key:!key ~ints_before ~ints_after ~fetches
                 ~iter_cycles ~iter_instrs;
               let n_rem = (je - 1 - !(d.k)) / p in
-              let m = clamp_iters d ~n_rem ~iter_cycles in
+              let m = clamp_iters d ~n_rem ~iter_cycles ~period:p in
               if m < n_rem then settled := false;
               if m > 0 then begin
                 let n = Array.length ints_before in

@@ -97,6 +97,16 @@ type ctx = {
           a pure-compute loop) may be excluded.  [start] is always the
           region's first boundary, so the scanned window is identical
           across a region's snapshots *)
+  skip_data : start:int -> period:int -> iters:int -> int;
+      (** called at the iteration boundary [start] just before up to
+          [iters] repetitions of the pattern are skipped: returns how
+          many of them the data side allows, and moves the data side
+          past exactly that many.  A live data side allows all of them
+          and has nothing to move — fingerprint equality already pins
+          its future.  A data side replayed from an outcome log is
+          fingerprinted by the current iteration's outcomes, so it
+          allows only the iterations whose logged outcomes repeat
+          them, and advances its log position *)
   exec : int -> unit;  (** execute the block at a trace position *)
   set_awake_recorder : (int -> unit) option -> unit;
       (** drowsy awake-increment recorder hook (no-op if not drowsy) *)

@@ -222,6 +222,249 @@ let test_sampled_drowsy spec () =
     (fun config -> check_observed ~window_cycles:97 spec config)
     drowsy_configs
 
+(* --- the data side's outcome log ----------------------------------- *)
+
+(* Plain runs and observed runs charge the data side from a memoised
+   per-trace outcome log.  A copy of the block array is a new memo key,
+   so the first run on it computes the log cold; later runs find it
+   warm.  Logs are compared physically: one memo entry per D-state
+   key. *)
+module Block_exec = Wayplace.Sim.Block_exec
+
+let fresh_trace spec =
+  let tr = (prepare spec).Runner.trace_large in
+  { tr with Wayplace.Workloads.Tracer.blocks = Array.copy tr.blocks }
+
+(* The log a run of [config] on [trace] replays: the memo's entry. *)
+let log_of_run spec trace config =
+  let t =
+    Block_exec.trace config ~stats:(Stats.create ()) trace
+      (Runner.compiled_for (prepare spec) config)
+  in
+  Block_exec.replay_data config t;
+  Option.get t.Block_exec.outcomes
+
+let check_replay ~name spec trace config =
+  let compiled = Runner.compiled_for (prepare spec) config in
+  let fast =
+    Simulator.run_compiled ~fastforward:false ~config ~trace compiled
+  in
+  let reference =
+    Simulator.run_compiled ~reference_only:true ~config ~trace compiled
+  in
+  if not (Stats.equal fast reference) then
+    Alcotest.failf "%s: replayed data side diverges from reference:@ %a" name
+      Stats.pp_diff (fast, reference);
+  (fast, log_of_run spec trace config)
+
+(* Every scheme shares the XScale data side: the first run on a fresh
+   trace computes the one log every later run, of any scheme,
+   replays. *)
+let test_log_cold_warm spec () =
+  let trace = fresh_trace spec in
+  let first = ref None in
+  List.iter
+    (fun scheme ->
+      let config = Config.xscale scheme in
+      let name =
+        Printf.sprintf "%s / %s" spec.Spec.name (Config.scheme_name scheme)
+      in
+      let _, log = check_replay ~name spec trace config in
+      let _, warm = check_replay ~name:(name ^ " warm") spec trace config in
+      let shared = match !first with None -> log | Some l -> l in
+      first := Some shared;
+      Alcotest.(check bool) (name ^ ": one shared log") true
+        (log == shared && warm == shared))
+    schemes
+
+(* A small data side, so misses, evictions and D-TLB walks are
+   frequent and each D-state field below changes the outcomes. *)
+let small_dside =
+  {
+    (Config.xscale Config.Baseline) with
+    Config.dcache = Geometry.make ~size_bytes:1024 ~assoc:4 ~line_bytes:32;
+    dtlb_entries = 8;
+  }
+
+let dstate_variants =
+  [
+    ( "dcache geometry",
+      {
+        small_dside with
+        Config.dcache = Geometry.make ~size_bytes:2048 ~assoc:2 ~line_bytes:16;
+      } );
+    ("LRU", Config.with_replacement small_dside Replacement.Lru);
+    ("dtlb entries", { small_dside with Config.dtlb_entries = 4 });
+    ("page bytes", { small_dside with Config.page_bytes = 4096 });
+  ]
+
+let test_log_dstate_keys () =
+  let spec = Mibench.tiny in
+  let trace = fresh_trace spec in
+  let base, base_log = check_replay ~name:"base" spec trace small_dside in
+  let logs =
+    List.map
+      (fun (name, config) ->
+        let stats, log = check_replay ~name spec trace config in
+        Alcotest.(check bool)
+          (name ^ ": changes the data side")
+          false (Stats.equal base stats);
+        (name, config, log))
+      dstate_variants
+  in
+  let all = ("base", small_dside, base_log) :: logs in
+  List.iteri
+    (fun i (name, config, log) ->
+      List.iteri
+        (fun j (other, _, log') ->
+          if i < j then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s and %s: own logs" name other)
+              true (log != log'))
+        all;
+      Alcotest.(check bool) (name ^ ": stays memoised") true
+        (log_of_run spec trace config == log))
+    all
+
+let test_log_charge_only_fields () =
+  let spec = Mibench.tiny in
+  let trace = fresh_trace spec in
+  let _, base_log = check_replay ~name:"base" spec trace small_dside in
+  let energy = small_dside.Config.energy in
+  List.iter
+    (fun (name, config) ->
+      let _, log = check_replay ~name spec trace config in
+      Alcotest.(check bool) (name ^ ": reuses the log") true (log == base_log))
+    [
+      ( "latencies",
+        { small_dside with Config.memory_latency = 7; tlb_walk_latency = 3 } );
+      ( "energy",
+        Config.with_energy small_dside
+          {
+            energy with
+            Wayplace.Energy.Params.memory_access_pj =
+              energy.Wayplace.Energy.Params.memory_access_pj *. 1.5;
+          } );
+      ( "I-side and scheme",
+        Config.with_icache
+          (Config.with_scheme small_dside Config.Way_memoization)
+          small_geometry );
+    ]
+
+(* Windows from a warm log: a plain run warms it first. *)
+let test_log_sampled_warm () =
+  let prep = prepare straddle in
+  List.iter
+    (fun scheme ->
+      let config = Config.xscale scheme in
+      ignore (Runner.run_scheme ~fastforward:false prep config);
+      let log = log_of_run straddle prep.Runner.trace_large config in
+      List.iter
+        (fun window_cycles -> check_observed ~window_cycles straddle config)
+        [ 1; 7; 1024 ];
+      Alcotest.(check bool) "sampled runs replay the warm log" true
+        (log_of_run straddle prep.Runner.trace_large config == log))
+    schemes
+
+(* Fast-forward on a replayed data side: a boundary's fingerprint
+   holds the outcomes of the iteration starting there, and a skip only
+   covers iterations whose logged outcomes repeat them. *)
+module Steady_state = Wayplace.Sim.Steady_state
+
+let replaying_ctx spec config =
+  let prep = prepare spec in
+  let m = Block_exec.machine ~code_base:Simulator.code_base config in
+  let t =
+    Block_exec.trace config ~stats:(Stats.create ()) prep.Runner.trace_large
+      (Runner.compiled_for prep config)
+  in
+  Block_exec.replay_data config t;
+  ( t,
+    Block_exec.ff_ctx m t ~config ~policy:Steady_state.default_policy
+      ~report:(Steady_state.create_report ()) ~cache:None ~cycle_headroom:None
+  )
+
+let log_of (t : Block_exec.trace) = Option.get t.Block_exec.outcomes
+
+let period_mem (t : Block_exec.trace) ~start ~period =
+  let n = ref 0 in
+  for j = start to start + period - 1 do
+    n :=
+      !n + Array.length t.Block_exec.info.(t.Block_exec.blocks.(j)).mem
+  done;
+  !n
+
+(* Two machines with the same I-side and different data sides, stepped
+   in lockstep: their fingerprints must be equal exactly where the
+   logged outcomes of the next iteration are. *)
+let test_ff_fingerprints_outcomes () =
+  let (ta, ca), (tb, cb) =
+    ( replaying_ctx Mibench.tiny (Config.xscale Config.Baseline),
+      replaying_ctx Mibench.tiny small_dside )
+  in
+  let fingerprint ctx k =
+    let words = ref [] in
+    ctx.Steady_state.fingerprint ~start:k ~period:3 ~add:(fun w ->
+        words := w :: !words);
+    !words
+  in
+  let differ = ref 0 and same = ref 0 in
+  for k = 0 to 1500 do
+    let pm = period_mem ta ~start:k ~period:3 in
+    if pm > 0 then begin
+      let seg t = Bytes.sub (log_of t) t.Block_exec.next_op pm in
+      let outcomes_equal = Bytes.equal (seg ta) (seg tb) in
+      if outcomes_equal then incr same else incr differ;
+      Alcotest.(check bool)
+        (Printf.sprintf "block %d: fingerprints equal iff outcomes are" k)
+        outcomes_equal
+        (fingerprint ca k = fingerprint cb k)
+    end;
+    ca.Steady_state.exec k;
+    cb.Steady_state.exec k
+  done;
+  Alcotest.(check bool) "both cases seen" true (!differ > 0 && !same > 0)
+
+let test_ff_skip_repeats_only () =
+  let cut = ref 0 in
+  List.iter
+    (fun (k, period, iters) ->
+      let t, ctx = replaying_ctx Mibench.tiny small_dside in
+      for j = 0 to k - 1 do
+        ctx.Steady_state.exec j
+      done;
+      let log = log_of t and c = t.Block_exec.next_op in
+      let pm = period_mem t ~start:k ~period in
+      let expect =
+        if pm = 0 then iters
+        else begin
+          let n = ref 1 in
+          while
+            !n < iters
+            && Bytes.equal
+                 (Bytes.sub log (c + (!n * pm)) pm)
+                 (Bytes.sub log c pm)
+          do
+            incr n
+          done;
+          !n
+        end
+      in
+      if expect < iters then incr cut;
+      let name =
+        Printf.sprintf "block %d, period %d, %d iters" k period iters
+      in
+      Alcotest.(check int) (name ^ ": allowed") expect
+        (ctx.Steady_state.skip_data ~start:k ~period ~iters);
+      Alcotest.(check int)
+        (name ^ ": log position")
+        (c + (expect * pm))
+        t.Block_exec.next_op)
+    (List.concat_map
+       (fun k -> List.map (fun (p, n) -> (k, p, n)) [ (1, 4); (2, 3); (5, 2) ])
+       [ 0; 17; 120; 400; 901 ]);
+  Alcotest.(check bool) "some skips cut short" true (!cut > 0)
+
 (* --- plan memo: concurrent first-request dedup -------------------- *)
 
 module Compiled_trace = Wayplace.Sim.Compiled_trace
@@ -312,6 +555,24 @@ let () =
               (test_resized straddle);
             Alcotest.test_case "streaks: sampled drowsy" `Quick
               (test_sampled_drowsy streaks);
+          ] );
+      ( "outcome log",
+        List.map
+          (fun spec ->
+            Alcotest.test_case (spec.Spec.name ^ ": cold and warm") `Quick
+              (test_log_cold_warm spec))
+          kernels
+        @ [
+            Alcotest.test_case "one log per D-state key" `Quick
+              test_log_dstate_keys;
+            Alcotest.test_case "latency and energy reuse the log" `Quick
+              test_log_charge_only_fields;
+            Alcotest.test_case "sampled windows on a warm log" `Quick
+              test_log_sampled_warm;
+            Alcotest.test_case "fast-forward fingerprints outcomes" `Quick
+              test_ff_fingerprints_outcomes;
+            Alcotest.test_case "fast-forward skips repeats only" `Quick
+              test_ff_skip_repeats_only;
           ] );
       ( "plan memo",
         [

@@ -34,7 +34,8 @@ type fake = {
 
 let fake_ctx ?(policy = Steady_state.default_policy)
     ?(variant = fun ~start:_ ~period:_ -> true) ?(state_converges = true)
-    ?cache ?(scope = "fake") ?headroom trace =
+    ?cache ?(scope = "fake") ?headroom
+    ?(skip_data = fun ~start:_ ~period:_ ~iters -> iters) trace =
   let f =
     {
       trace;
@@ -59,6 +60,7 @@ let fake_ctx ?(policy = Steady_state.default_policy)
         (fun ~start:_ ~period:_ ~add ->
           add f.state;
           add 42);
+      skip_data;
       exec =
         (fun k ->
           let id = trace.(k) in
@@ -157,6 +159,35 @@ let test_never_converges () =
   Alcotest.(check int) "nothing converged" 0 report.Steady_state.converged;
   Alcotest.(check int) "all positions ran" (Array.length trace)
     (List.length !(f.executed))
+
+(* The data side may allow fewer iterations than the driver wants to
+   skip (a replayed data side whose logged outcomes stop repeating): the
+   driver must skip exactly what it allows, execute the rest, and stay
+   exact. *)
+let test_data_side_caps_skips () =
+  List.iter
+    (fun cap ->
+      let allowed = ref 0 in
+      let skip_data ~start:_ ~period:_ ~iters =
+        let n = min iters cap in
+        allowed := !allowed + n;
+        n
+      in
+      let trace = looped 50 in
+      let f, ctx, report = fake_ctx ~policy:eager ~skip_data trace in
+      Steady_state.run ctx;
+      let name = Printf.sprintf "cap %d" cap in
+      check_totals name f;
+      Alcotest.(check int)
+        (name ^ ": skipped what the data side allowed")
+        !allowed report.Steady_state.skipped_iterations;
+      Alcotest.(check int)
+        (name ^ ": positions executed")
+        (Array.length trace - (report.Steady_state.skipped_iterations * 2))
+        (List.length !(f.executed));
+      Alcotest.(check bool) (name ^ ": skips iff allowed") (cap > 0)
+        (!allowed > 0))
+    [ 0; 1; 3 ]
 
 let test_stream_variant_veto () =
   let trace = looped 50 in
@@ -637,6 +668,8 @@ let () =
           Alcotest.test_case "convergent loop" `Quick test_convergent_loop;
           Alcotest.test_case "trip counts 0/1/2" `Quick test_tiny_trip_counts;
           Alcotest.test_case "never converges" `Quick test_never_converges;
+          Alcotest.test_case "data side caps skips" `Quick
+            test_data_side_caps_skips;
           Alcotest.test_case "stream-variant veto" `Quick
             test_stream_variant_veto;
           Alcotest.test_case "min-skip threshold" `Quick
