@@ -25,8 +25,8 @@ module Simulator = Wayplace.Sim.Simulator
 module Geometry = Wayplace.Cache.Geometry
 module Mibench = Wayplace.Workloads.Mibench
 module Tracer = Wayplace.Workloads.Tracer
-module Ed = Wayplace.Energy.Ed
 module Sweep = Wayplace.Sim.Sweep
+module Report = Wayplace.Sim.Report
 
 let kb n = n * 1024
 let wp n = Config.Way_placement { area_bytes = kb n }
@@ -39,12 +39,9 @@ let geometry ~size_kb ~ways = Geometry.make ~size_bytes:(kb size_kb) ~assoc:ways
 
 let requested_workers = ref None
 
-let progress job ~seconds ~completed ~total =
-  Printf.eprintf "[sweep %3d/%d] %-48s %6.2fs\n%!" completed total
-    (Sweep.job_label job) seconds
-
 let sweep =
-  lazy (Sweep.create ?workers:!requested_workers ~progress ())
+  lazy
+    (Sweep.create ?workers:!requested_workers ~progress:Sweep.print_progress ())
 
 let prep name = Sweep.prepared (Lazy.force sweep) name
 let job benchmark config = { Sweep.benchmark; config }
@@ -58,21 +55,14 @@ let grid benchmarks configs =
 let cmp benchmarks configs = Sweep.with_baselines (grid benchmarks configs)
 let no_jobs () = []
 
-let norm_energy name config =
-  let baseline = run name (Config.with_scheme config Config.Baseline) in
-  let scheme = run name config in
-  Ed.normalised
-    ~scheme:(Stats.icache_energy_pj scheme)
-    ~baseline:(Stats.icache_energy_pj baseline)
+(* A cell against its baseline partner, and the two figure metrics. *)
+let normalised name config =
+  Runner.normalise
+    ~baseline:(run name (Config.with_scheme config Config.Baseline))
+    (run name config)
 
-let norm_ed name config =
-  let baseline = run name (Config.with_scheme config Config.Baseline) in
-  let scheme = run name config in
-  Ed.normalised_ed
-    ~scheme_energy_pj:(Stats.total_energy_pj scheme)
-    ~scheme_cycles:scheme.Stats.cycles
-    ~baseline_energy_pj:(Stats.total_energy_pj baseline)
-    ~baseline_cycles:baseline.Stats.cycles
+let norm_energy name config = (normalised name config).Runner.norm_icache_energy
+let norm_ed name config = (normalised name config).Runner.norm_ed
 
 let suite = Mibench.names
 let mean = Runner.arithmetic_mean
@@ -384,11 +374,7 @@ let ablate_profile () =
           ~trace:p.Runner.trace_large
       in
       let baseline = run name (Config.xscale Config.Baseline) in
-      let self =
-        Ed.normalised
-          ~scheme:(Stats.icache_energy_pj scheme)
-          ~baseline:(Stats.icache_energy_pj baseline)
-      in
+      let self = (Runner.normalise ~baseline scheme).Runner.norm_icache_energy in
       Printf.printf "%-12s %15.1f%% %15.1f%%\n" name (pct standard) (pct self))
     ablation_suite;
   Printf.printf "%!"
@@ -419,12 +405,7 @@ let ext_comparators () =
       let config = Config.xscale scheme in
       let e = suite_mean (fun n -> norm_energy n config) in
       let ed = suite_mean (fun n -> norm_ed n config) in
-      let cyc =
-        suite_mean (fun n ->
-            let b = run n (Config.with_scheme config Config.Baseline) in
-            let s = run n config in
-            float_of_int s.Stats.cycles /. float_of_int b.Stats.cycles)
-      in
+      let cyc = suite_mean (fun n -> (normalised n config).Runner.norm_cycles) in
       Printf.printf "%-20s %9.1f%% %10.3f %12.4f
 " label (pct e) ed cyc)
     schemes;
@@ -461,11 +442,8 @@ let ext_drowsy () =
         mean
           (List.map
              (fun n ->
-               let b = run n base_cfg in
-               let s = run n config in
-               Ed.normalised
-                 ~scheme:(Stats.icache_energy_pj s)
-                 ~baseline:(Stats.icache_energy_pj b))
+               (Runner.normalise ~baseline:(run n base_cfg) (run n config))
+                 .Runner.norm_icache_energy)
              subset)
       in
       let wakes =
@@ -520,14 +498,7 @@ let mp_run ~label ~names ~coverage ~scheme ~quantum =
       let r = Mp.Machine.run ~config ~options mix in
       (* The attribution law the differ also enforces: per-process +
          system counters sum to the aggregate, integer by integer. *)
-      let agg = Stats.snapshot_ints r.Mp.Machine.aggregate in
-      let sum = Array.make (Array.length agg) 0 in
-      let add s =
-        Array.iteri (fun i v -> sum.(i) <- sum.(i) + v) (Stats.snapshot_ints s)
-      in
-      List.iter (fun p -> add p.Mp.Machine.pr_stats) r.Mp.Machine.processes;
-      add r.Mp.Machine.system;
-      if sum <> agg then
+      if not (Mp.Machine.conserves r) then
         failwith (label ^ ": per-process attribution does not sum to aggregate");
       Hashtbl.replace mp_cache key r;
       r
@@ -541,19 +512,10 @@ let mp_cell ~label ~names ~coverage ~quantum =
       ~quantum
   in
   let r = mp_run ~label ~names ~coverage ~scheme:(wp 16) ~quantum in
-  let e =
-    Ed.normalised
-      ~scheme:(Stats.icache_energy_pj r.Mp.Machine.aggregate)
-      ~baseline:(Stats.icache_energy_pj base.Mp.Machine.aggregate)
+  let c =
+    Runner.normalise ~baseline:base.Mp.Machine.aggregate r.Mp.Machine.aggregate
   in
-  let ed =
-    Ed.normalised_ed
-      ~scheme_energy_pj:(Stats.total_energy_pj r.Mp.Machine.aggregate)
-      ~scheme_cycles:r.Mp.Machine.aggregate.Stats.cycles
-      ~baseline_energy_pj:(Stats.total_energy_pj base.Mp.Machine.aggregate)
-      ~baseline_cycles:base.Mp.Machine.aggregate.Stats.cycles
-  in
-  (e, ed, r)
+  (c.Runner.norm_icache_energy, c.Runner.norm_ed, r)
 
 let mp_quantum_sweep () =
   header
@@ -681,14 +643,15 @@ let csv () =
   let dir = "bench_csv" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let write path header rows =
-    let oc = open_out (Filename.concat dir path) in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (header ^ "\n");
-        List.iter (fun row -> output_string oc (row ^ "\n")) rows);
-    Printf.printf "  wrote %s/%s
-%!" dir path
+    let split = String.split_on_char ',' in
+    match
+      Report.write_csv ~path:(Filename.concat dir path) ~header:(split header)
+        ~rows:(List.map split rows)
+    with
+    | Ok () -> Printf.printf "  wrote %s/%s\n%!" dir path
+    | Error msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 1
   in
   write "fig4.csv" "benchmark,waymemo_energy,wayplace_energy,waymemo_ed,wayplace_ed"
     (List.map
@@ -1266,19 +1229,15 @@ let () =
             usage ();
             exit 1
       end
-    | "--bench" :: v :: rest ->
-        let names = String.split_on_char ',' v in
-        let known = suite @ Mibench.loop_names in
-        List.iter
-          (fun n ->
-            if not (List.mem n known) then begin
-              Printf.eprintf "unknown benchmark %S (known: %s)\n" n
-                (String.concat ", " known);
-              exit 1
-            end)
-          names;
-        perf_benchmarks := Some names;
-        parse ids rest
+    | "--bench" :: v :: rest -> begin
+        match Mibench.select v with
+        | Ok names ->
+            perf_benchmarks := Some names;
+            parse ids rest
+        | Error msg ->
+            Printf.eprintf "%s\n" msg;
+            exit 1
+      end
     | "--ref" :: rest ->
         perf_reference := true;
         parse ids rest

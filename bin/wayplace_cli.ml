@@ -15,6 +15,90 @@
      dune exec bin/wayplace_cli.exe -- list *)
 
 open Cmdliner
+module Config = Wayplace.Sim.Config
+module Mibench = Wayplace.Workloads.Mibench
+module P = Wayplace.Serve.Protocol
+
+let ( let* ) = Result.bind
+
+(* --- one exit policy, one output sink --- *)
+
+(* A command's outcome as its exit code: [Ok code] exits [code], an
+   [Error] prints one error line and exits 1.  Commands fold a failed
+   write in as [max code 1], so lint's and advise's severities 2/3
+   survive it. *)
+let exit_code = function
+  | Ok code -> code
+  | Error msg ->
+      Format.eprintf "error: %s@." msg;
+      1
+
+(* Attempt every requested output [(what, path, write)], in order: a
+   success prints "wrote PATH" plus the note [write] returns, a failure
+   prints an error line and the next output is still attempted.
+   Returns whether any write failed. *)
+let write_outputs ?(quiet = false) outputs =
+  List.fold_left
+    (fun failed (what, path, write) ->
+      match path with
+      | None -> failed
+      | Some path -> (
+          match write path with
+          | Ok note ->
+              if not quiet then Printf.printf "wrote %s%s\n%!" path note;
+              failed
+          | Error msg ->
+              Format.eprintf "error: writing %s %s: %s@." what path msg;
+              true))
+    false outputs
+
+let noted note result = Result.map (fun () -> note) result
+let plain result = noted "" result
+
+(* A text file as a [write_outputs] writer. *)
+let save_text ~note text path =
+  noted note (Wayplace.Sim.Report.write_file ~path (fun oc -> output_string oc text))
+
+(* A command that ends with its outputs: exit 1 if any of them failed. *)
+let write_all ?quiet outputs = Ok (Bool.to_int (write_outputs ?quiet outputs))
+
+(* [List.map] for a fallible [f]: stops at the first error. *)
+let map_result f items =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest ->
+        let* y = f x in
+        go (y :: acc) rest
+  in
+  go [] items
+
+(* [Ok ()] when two runs are bit-identical, else [what] and the diff. *)
+let same_stats what a b =
+  if Wayplace.Sim.Stats.equal a b then Ok ()
+  else Error (Format.asprintf "%s:@ %a" what Wayplace.Sim.Stats.pp_diff (a, b))
+
+(* --- flags shared by the subcommands --- *)
+
+(* A converter that ignores blanks around the value, so list entries
+   like "8, 16" parse as they always have. *)
+let trimmed conv =
+  Arg.conv
+    ( (fun s -> Arg.conv_parser conv (String.trim s)),
+      Arg.conv_printer conv )
+
+let int_list = Arg.list (trimmed Arg.int)
+
+(* Parses through the protocol's name table; prints the wire name. *)
+let scheme_conv =
+  Arg.conv
+    ( Arg.conv_parser (trimmed (Arg.enum P.scheme_names)),
+      fun ppf s -> Format.pp_print_string ppf (P.scheme_to_string s) )
+let scheme_named name = List.assoc name P.scheme_names
+
+(* The [-a KB] area applies to way-placement only. *)
+let with_area area_kb = function
+  | Config.Way_placement _ -> Config.Way_placement { area_bytes = area_kb * 1024 }
+  | scheme -> scheme
 
 let benchmark_arg =
   let doc = "Benchmark name (see the list subcommand)." in
@@ -22,7 +106,10 @@ let benchmark_arg =
 
 let scheme_arg =
   let doc = "Scheme: baseline, wayplace, waymemo, waypred or filter." in
-  Arg.(value & opt string "wayplace" & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
+  Arg.(
+    value
+    & opt scheme_conv (scheme_named "wayplace")
+    & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
 
 let area_arg =
   let doc = "Way-placement area size in KB." in
@@ -40,32 +127,25 @@ let line_arg =
   let doc = "Cache line size in bytes." in
   Arg.(value & opt int 32 & info [ "line" ] ~docv:"B" ~doc)
 
+(* An output file flag, unset by default. *)
+let file_arg name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+(* One benchmark under one machine, as the daemon's [Sim] request
+   describes it. *)
+let sim_request_term =
+  Term.(
+    const (fun benchmark scheme area size_kb ways line_bytes ->
+        P.sim_request ~size_kb ~ways ~line_bytes ~benchmark
+          ~scheme:(with_area area scheme) ())
+    $ benchmark_arg $ scheme_arg $ area_arg $ size_arg $ ways_arg $ line_arg)
+
 let find_spec name =
-  match Wayplace.Workloads.Mibench.find name with
+  match Mibench.find name with
   | spec -> Ok spec
   | exception Not_found ->
       Error
         (Printf.sprintf "unknown benchmark %S; try the list subcommand" name)
-
-let parse_scheme scheme area_kb =
-  match scheme with
-  | "baseline" -> Ok Wayplace.Sim.Config.Baseline
-  | "wayplace" | "way-placement" ->
-      Ok (Wayplace.Sim.Config.Way_placement { area_bytes = area_kb * 1024 })
-  | "waymemo" | "way-memoization" -> Ok Wayplace.Sim.Config.Way_memoization
-  | "waypred" | "way-prediction" -> Ok Wayplace.Sim.Config.Way_prediction
-  | "filter" | "filter-cache" ->
-      Ok (Wayplace.Sim.Config.Filter_cache { l0_bytes = 512 })
-  | other -> Error (Printf.sprintf "unknown scheme %S" other)
-
-let config_of ~scheme ~size_kb ~ways ~line =
-  match
-    Wayplace.Cache.Geometry.make ~size_bytes:(size_kb * 1024) ~assoc:ways
-      ~line_bytes:line
-  with
-  | geometry ->
-      Ok (Wayplace.Sim.Config.with_icache (Wayplace.Sim.Config.xscale scheme) geometry)
-  | exception Invalid_argument msg -> Error msg
 
 let no_fastforward_arg =
   let doc =
@@ -91,14 +171,12 @@ let check_ff_arg =
   in
   Arg.(value & flag & info [ "check-fastforward" ] ~doc)
 
-let run_cmd benchmark scheme area size ways line no_fastforward ff_stats
-    check_ff =
-  let ( let* ) = Result.bind in
+let run_cmd req no_fastforward ff_stats check_ff =
   if no_fastforward then Wayplace.Sim.Simulator.set_fastforward_default false;
-  let result =
-    let* spec = find_spec benchmark in
-    let* scheme = parse_scheme scheme area in
-    let* config = config_of ~scheme ~size_kb:size ~ways ~line in
+  exit_code
+  @@
+    let* spec = find_spec req.P.benchmark in
+    let* config = P.config_of_sim req in
     let prep = Wayplace.Sim.Runner.prepare spec in
     let comparison = Wayplace.Sim.Runner.compare_to_baseline prep config in
     Format.printf "benchmark: %s@." spec.Wayplace.Workloads.Spec.name;
@@ -139,9 +217,8 @@ let run_cmd benchmark scheme area size ways line no_fastforward ff_stats
          (if report.Wayplace.Sim.Steady_state.cache_inserts = 1 then ""
           else "s")
      end);
-    if not check_ff then Ok ()
+    if not check_ff then Ok 0
     else begin
-      let module Stats = Wayplace.Sim.Stats in
       let ff_on =
         Wayplace.Sim.Runner.run_scheme ~fastforward:true prep config
       in
@@ -153,26 +230,14 @@ let run_cmd benchmark scheme area size ways line no_fastforward ff_stats
           ~trace:prep.Wayplace.Sim.Runner.trace_large
           (Wayplace.Sim.Runner.compiled_for prep config)
       in
-      if not (Stats.equal ff_on ff_off) then
-        Error
-          (Format.asprintf "fast-forward diverges from plain fast path:@ %a"
-             Stats.pp_diff (ff_on, ff_off))
-      else if not (Stats.equal ff_on reference) then
-        Error
-          (Format.asprintf "fast path diverges from reference:@ %a"
-             Stats.pp_diff (ff_on, reference))
-      else begin
-        Format.printf
-          "fast-forward self-check passed: on/off/reference bit-identical@.";
-        Ok ()
-      end
+      let* () =
+        same_stats "fast-forward diverges from plain fast path" ff_on ff_off
+      in
+      let* () = same_stats "fast path diverges from reference" ff_on reference in
+      Format.printf
+        "fast-forward self-check passed: on/off/reference bit-identical@.";
+      Ok 0
     end
-  in
-  match result with
-  | Ok () -> 0
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
 
 (* --- sweep: a benchmark x configuration grid on the domain pool --- *)
 
@@ -192,20 +257,6 @@ let quiet_arg =
    nobody is watching (stderr redirected to a file or pipe). *)
 let progress_enabled ~quiet = (not quiet) && Unix.isatty Unix.stderr
 
-let comma_list = String.split_on_char ','
-
-let parse_int_list ~what s =
-  let parts = comma_list s in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest -> begin
-        match int_of_string_opt (String.trim p) with
-        | Some n when n > 0 -> go (n :: acc) rest
-        | Some _ | None -> Error (Printf.sprintf "bad %s %S" what p)
-      end
-  in
-  go [] parts
-
 let sweep_benchmarks_arg =
   let doc = "Comma-separated benchmark names, or $(b,all) for the whole suite." in
   Arg.(value & opt string "all" & info [ "b"; "benchmarks" ] ~docv:"NAMES" ~doc)
@@ -214,19 +265,22 @@ let sweep_schemes_arg =
   let doc =
     "Comma-separated schemes (baseline, wayplace, waymemo, waypred, filter)."
   in
-  Arg.(value & opt string "wayplace,waymemo" & info [ "s"; "schemes" ] ~docv:"SCHEMES" ~doc)
+  Arg.(
+    value
+    & opt (list scheme_conv) [ scheme_named "wayplace"; scheme_named "waymemo" ]
+    & info [ "s"; "schemes" ] ~docv:"SCHEMES" ~doc)
 
 let sweep_areas_arg =
   let doc = "Comma-separated way-placement area sizes in KB (one job per area)." in
-  Arg.(value & opt string "16" & info [ "a"; "areas" ] ~docv:"KBS" ~doc)
+  Arg.(value & opt int_list [ 16 ] & info [ "a"; "areas" ] ~docv:"KBS" ~doc)
 
 let sweep_sizes_arg =
   let doc = "Comma-separated I-cache sizes in KB." in
-  Arg.(value & opt string "32" & info [ "sizes" ] ~docv:"KBS" ~doc)
+  Arg.(value & opt int_list [ 32 ] & info [ "sizes" ] ~docv:"KBS" ~doc)
 
 let sweep_ways_arg =
   let doc = "Comma-separated I-cache associativities." in
-  Arg.(value & opt string "32" & info [ "ways-list" ] ~docv:"NS" ~doc)
+  Arg.(value & opt int_list [ 32 ] & info [ "ways-list" ] ~docv:"NS" ~doc)
 
 let jobs_arg =
   let doc =
@@ -234,36 +288,15 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let csv_arg =
-  let doc = "Also write the sweep results to this CSV file." in
-  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+let csv_arg = file_arg "csv" "Also write the sweep results to this CSV file."
 
-let json_arg =
-  let doc = "Also write the sweep results to this JSON file." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+let json_arg = file_arg "json" "Also write the sweep results to this JSON file."
 
-let sweep_row engine benchmark (config : Wayplace.Sim.Config.t) =
-  let baseline_config =
-    Wayplace.Sim.Config.with_scheme config Wayplace.Sim.Config.Baseline
-  in
-  let b = Sweep.stats engine { Sweep.benchmark; config = baseline_config } in
-  let s = Sweep.stats engine { Sweep.benchmark; config } in
-  let energy =
-    Wayplace.Energy.Ed.normalised
-      ~scheme:(Sim_stats.icache_energy_pj s)
-      ~baseline:(Sim_stats.icache_energy_pj b)
-  in
-  let ed =
-    Wayplace.Energy.Ed.normalised_ed
-      ~scheme_energy_pj:(Sim_stats.total_energy_pj s)
-      ~scheme_cycles:s.Sim_stats.cycles
-      ~baseline_energy_pj:(Sim_stats.total_energy_pj b)
-      ~baseline_cycles:b.Sim_stats.cycles
-  in
-  let cycles =
-    float_of_int s.Sim_stats.cycles /. float_of_int b.Sim_stats.cycles
-  in
-  (energy, ed, cycles)
+(* A row's printable coordinates: benchmark, geometry, scheme. *)
+let sweep_coords { Sweep.benchmark; config } =
+  ( benchmark,
+    Wayplace.Cache.Geometry.to_string config.Config.icache,
+    Config.scheme_name config.Config.scheme )
 
 let sweep_json rows =
   Report.Jobj
@@ -271,167 +304,97 @@ let sweep_json rows =
       ( "rows",
         Report.Jlist
           (List.map
-             (fun (benchmark, (config : Wayplace.Sim.Config.t), energy, ed, cycles)
-                ->
+             (fun (job, (c : Wayplace.Sim.Runner.comparison)) ->
+               let benchmark, icache, scheme = sweep_coords job in
                Report.Jobj
                  [
                    ("benchmark", Report.Jstring benchmark);
-                   ( "icache",
-                     Report.Jstring
-                       (Wayplace.Cache.Geometry.to_string
-                          config.Wayplace.Sim.Config.icache) );
-                   ( "scheme",
-                     Report.Jstring
-                       (Wayplace.Sim.Config.scheme_name
-                          config.Wayplace.Sim.Config.scheme) );
-                   ("energy", Report.Jfloat energy);
-                   ("ed", Report.Jfloat ed);
-                   ("cycles", Report.Jfloat cycles);
+                   ("icache", Report.Jstring icache);
+                   ("scheme", Report.Jstring scheme);
+                   ("energy", Report.Jfloat c.norm_icache_energy);
+                   ("ed", Report.Jfloat c.norm_ed);
+                   ("cycles", Report.Jfloat c.norm_cycles);
                  ])
              rows) );
     ]
 
+let sweep_csv rows =
+  List.map
+    (fun (job, (c : Wayplace.Sim.Runner.comparison)) ->
+      let benchmark, icache, scheme = sweep_coords job in
+      [ benchmark; icache; scheme ]
+      @ List.map (Printf.sprintf "%.4f")
+          [ c.norm_icache_energy; c.norm_ed; c.norm_cycles ])
+    rows
+
+(* The sweep is the daemon's grid description run locally: way-placement
+   expands to one scheme per area, the cells come in the canonical grid
+   order (benchmark, scheme, size, ways), and each cell's config is
+   resolved exactly as a [Grid] request's. *)
 let sweep_cmd benchmarks schemes areas sizes ways line jobs csv_out json_out
     quiet no_fastforward =
-  let ( let* ) = Result.bind in
   if no_fastforward then Wayplace.Sim.Simulator.set_fastforward_default false;
-  let result =
-    let* benchmarks =
-      match benchmarks with
-      | "all" -> Ok Wayplace.Workloads.Mibench.names
-      | names ->
-          List.fold_left
-            (fun acc name ->
-              let* acc = acc in
-              let name = String.trim name in
-              let* _spec = find_spec name in
-              Ok (name :: acc))
-            (Ok []) (comma_list names)
-          |> Result.map List.rev
-    in
-    let* areas = parse_int_list ~what:"area" areas in
-    let* sizes = parse_int_list ~what:"cache size" sizes in
-    let* ways = parse_int_list ~what:"associativity" ways in
-    let* schemes =
-      (* way-placement expands to one scheme per requested area *)
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          let s = String.trim s in
-          let variants =
-            match s with
-            | "wayplace" | "way-placement" -> areas
-            | _ -> [ 16 ]
-          in
-          List.fold_left
-            (fun acc area ->
-              let* acc = acc in
-              let* p = parse_scheme s area in
-              Ok (p :: acc))
-            (Ok acc) variants)
-        (Ok []) (comma_list schemes)
-      |> Result.map List.rev
-    in
-    let* configs =
-      List.fold_left
-        (fun acc size_kb ->
-          List.fold_left
-            (fun acc ways ->
-              List.fold_left
-                (fun acc scheme ->
-                  let* acc = acc in
-                  let* c = config_of ~scheme ~size_kb ~ways ~line in
-                  Ok (c :: acc))
-                acc schemes)
-            acc ways)
-        (Ok []) sizes
-      |> Result.map List.rev
-    in
-    let verbose = progress_enabled ~quiet in
-    let progress =
-      if verbose then
-        Some
-          (fun job ~seconds ~completed ~total ->
-            Printf.eprintf "[sweep %3d/%d] %-48s %6.2fs\n%!" completed total
-              (Sweep.job_label job) seconds)
-      else None
-    in
-    let engine = Sweep.create ?workers:jobs ?progress () in
-    let scheme_jobs =
-      List.concat_map
-        (fun config ->
-          List.map (fun benchmark -> { Sweep.benchmark; config }) benchmarks)
-        configs
-    in
-    if verbose then
-      Printf.eprintf "[sweep] %d unique jobs on %d worker%s\n%!"
-        (List.length (Sweep.dedup (Sweep.with_baselines scheme_jobs)))
-        (Sweep.workers engine)
-        (if Sweep.workers engine = 1 then "" else "s");
-    let t0 = Unix.gettimeofday () in
-    ignore (Sweep.run_batch engine (Sweep.with_baselines scheme_jobs));
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Printf.printf "%-12s %-16s %-20s %9s %8s %9s\n" "benchmark" "icache"
-      "scheme" "energy" "ED" "cycles";
-    let rows =
-      List.map
-        (fun { Sweep.benchmark; config } ->
-          let energy, ed, cycles = sweep_row engine benchmark config in
-          (benchmark, config, energy, ed, cycles))
-        scheme_jobs
-    in
-    List.iter
-      (fun (benchmark, (config : Wayplace.Sim.Config.t), energy, ed, cycles) ->
-        Printf.printf "%-12s %-16s %-20s %8.1f%% %8.3f %9.4f\n" benchmark
-          (Wayplace.Cache.Geometry.to_string config.Wayplace.Sim.Config.icache)
-          (Wayplace.Sim.Config.scheme_name config.Wayplace.Sim.Config.scheme)
-          (100.0 *. energy) ed cycles)
-      rows;
-    Printf.printf "[sweep] %d rows in %.1fs\n%!" (List.length rows) elapsed;
-    let* () =
-      match csv_out with
-      | None -> Ok ()
-      | Some path ->
-          let csv_rows =
-            List.map
-              (fun ( benchmark,
-                     (config : Wayplace.Sim.Config.t),
-                     energy,
-                     ed,
-                     cycles ) ->
-                [
-                  benchmark;
-                  Wayplace.Cache.Geometry.to_string
-                    config.Wayplace.Sim.Config.icache;
-                  Wayplace.Sim.Config.scheme_name
-                    config.Wayplace.Sim.Config.scheme;
-                  Printf.sprintf "%.4f" energy;
-                  Printf.sprintf "%.4f" ed;
-                  Printf.sprintf "%.4f" cycles;
-                ])
-              rows
-          in
-          let* () =
-            Report.write_csv ~path
-              ~header:
-                [ "benchmark"; "icache"; "scheme"; "energy"; "ed"; "cycles" ]
-              ~rows:csv_rows
-          in
-          Printf.printf "wrote %s\n%!" path;
-          Ok ()
-    in
-    match json_out with
-    | None -> Ok ()
-    | Some path ->
-        let* () = Report.write_json ~path (sweep_json rows) in
-        Printf.printf "wrote %s\n%!" path;
-        Ok ()
+  exit_code
+  @@
+  let* benchmarks = Mibench.select benchmarks in
+  let schemes =
+    List.concat_map
+      (function
+        | Config.Way_placement _ as s -> List.map (fun kb -> with_area kb s) areas
+        | s -> [ s ])
+      schemes
   in
-  match result with
-  | Ok () -> 0
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+  let grid =
+    P.grid_request ~sizes_kb:sizes ~ways ~line_bytes:line ~benchmarks ~schemes ()
+  in
+  let* scheme_jobs =
+    map_result
+      (fun (benchmark, scheme, size_kb, ways) ->
+        P.config_of_geometry ~scheme ~size_kb ~ways ~line_bytes:line
+        |> Result.map (fun config -> { Sweep.benchmark; config }))
+      (P.grid_cells grid)
+  in
+  let verbose = progress_enabled ~quiet in
+  let progress = if verbose then Some Sweep.print_progress else None in
+  let engine = Sweep.create ?workers:jobs ?progress () in
+  let batch = Sweep.with_baselines scheme_jobs in
+  if verbose then
+    Printf.eprintf "[sweep] %d unique jobs on %d worker%s\n%!"
+      (List.length batch) (Sweep.workers engine)
+      (if Sweep.workers engine = 1 then "" else "s");
+  let t0 = Unix.gettimeofday () in
+  ignore (Sweep.run_batch engine batch);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Printf.printf "%-12s %-16s %-20s %9s %8s %9s\n" "benchmark" "icache"
+    "scheme" "energy" "ED" "cycles";
+  let rows =
+    List.map
+      (fun job ->
+        let baseline =
+          Sweep.stats engine
+            { job with config = Config.with_scheme job.Sweep.config Config.Baseline }
+        in
+        (job, Wayplace.Sim.Runner.normalise ~baseline (Sweep.stats engine job)))
+      scheme_jobs
+  in
+  List.iter
+    (fun (job, (c : Wayplace.Sim.Runner.comparison)) ->
+      let benchmark, icache, scheme = sweep_coords job in
+      Printf.printf "%-12s %-16s %-20s %8.1f%% %8.3f %9.4f\n" benchmark icache
+        scheme (100.0 *. c.norm_icache_energy) c.norm_ed c.norm_cycles)
+    rows;
+  Printf.printf "[sweep] %d rows in %.1fs\n%!" (List.length rows) elapsed;
+  write_all
+    [
+      ( "CSV",
+        csv_out,
+        fun path ->
+          plain
+            (Report.write_csv ~path
+               ~header:[ "benchmark"; "icache"; "scheme"; "energy"; "ed"; "cycles" ]
+               ~rows:(sweep_csv rows)) );
+      ("JSON", json_out, fun path -> plain (Report.write_json ~path (sweep_json rows)));
+    ]
 
 (* --- fuzz: differential testing on the domain pool --- *)
 
@@ -444,10 +407,9 @@ let count_arg =
   Arg.(value & opt int 100 & info [ "count" ] ~docv:"K" ~doc)
 
 let fuzz_cmd seed count jobs quiet =
-  if count <= 0 then begin
-    Format.eprintf "error: --count must be positive@.";
-    1
-  end
+  exit_code
+  @@
+  if count <= 0 then Error "--count must be positive"
   else begin
     let progress =
       if progress_enabled ~quiet then
@@ -466,14 +428,14 @@ let fuzz_cmd seed count jobs quiet =
     | [] ->
         Printf.printf "[fuzz] %d seeds (%d..%d) clean in %.1fs\n%!" count seed
           (seed + count - 1) elapsed;
-        0
+        Ok 0
     | failures ->
         List.iter
           (fun r -> Format.printf "%a@." Wayplace.Check.Differ.pp_report r)
           failures;
         Printf.printf "[fuzz] %d/%d seeds FAILED in %.1fs\n%!"
           (List.length failures) count elapsed;
-        1
+        Ok 1
   end
 
 (* --- timeline: one sampled run, windowed by the sampler --- *)
@@ -486,15 +448,13 @@ let window_arg =
        & info [ "window" ] ~docv:"CYCLES" ~doc)
 
 let timeline_csv_arg =
-  let doc = "Write the windowed timeline to this CSV file." in
-  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+  file_arg "csv"
+    "Write the windowed timeline to this CSV file."
 
 let chrome_arg =
-  let doc =
+  file_arg "chrome"
     "Write a Chrome trace-event JSON file (loadable in chrome://tracing or \
      Perfetto) to this file."
-  in
-  Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE" ~doc)
 
 let resize_arg =
   let doc =
@@ -502,22 +462,10 @@ let resize_arg =
      pairs (ascending trace block index, new area size in KB).  The caches \
      are flushed at each resize."
   in
-  Arg.(value & opt string "" & info [ "resize" ] ~docv:"IDX:KB,..." ~doc)
-
-let parse_resizes s =
-  let bad p = Error (Printf.sprintf "bad resize %S (want IDX:KB)" p) in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest -> (
-        match String.split_on_char ':' (String.trim p) with
-        | [ idx; kb ] -> (
-            match (int_of_string_opt idx, int_of_string_opt kb) with
-            | Some i, Some k when i >= 0 && k > 0 ->
-                go ((i, k * 1024) :: acc) rest
-            | _ -> bad p)
-        | _ -> bad p)
-  in
-  if String.trim s = "" then Ok [] else go [] (comma_list s)
+  Arg.(
+    value
+    & opt (list (trimmed (pair ~sep:':' int int))) []
+    & info [ "resize" ] ~docv:"IDX:KB,..." ~doc)
 
 let marker_to_string = function
   | Sampler.Resize { cycle; area_bytes } ->
@@ -538,52 +486,43 @@ let print_timeline windows =
         (String.concat " " (List.map marker_to_string w.Sampler.markers)))
     windows
 
-let timeline_cmd benchmark scheme area size ways line window csv_out chrome_out
-    resizes =
-  let ( let* ) = Result.bind in
-  let result =
-    let* spec = find_spec benchmark in
-    let* scheme = parse_scheme scheme area in
-    let* config = config_of ~scheme ~size_kb:size ~ways ~line in
-    let* schedule = parse_resizes resizes in
-    let* () = if window > 0 then Ok () else Error "--window must be positive" in
-    let prep = Wayplace.Sim.Runner.prepare spec in
-    let* stats, windows =
-      match
-        Wayplace.Sim.Runner.run_timeline ~schedule ~window_cycles:window prep
-          config
-      with
-      | result -> Ok result
-      | exception Invalid_argument msg -> Error msg
-    in
-    Format.printf "benchmark: %s@." spec.Wayplace.Workloads.Spec.name;
-    Format.printf "%a@." Wayplace.Sim.Config.pp config;
-    Printf.printf "%d windows of %d cycles: %d cycles, %d retired, %.1f pJ\n"
-      (List.length windows) window stats.Sim_stats.cycles
-      stats.Sim_stats.retired_instrs
-      (Sim_stats.total_energy_pj stats);
-    if csv_out = None && chrome_out = None then print_timeline windows;
-    let* () =
-      match csv_out with
-      | None -> Ok ()
-      | Some path ->
-          let* () = Wayplace.Sim.Timeline.write_csv ~path windows in
-          Printf.printf "wrote %s (%d windows)\n%!" path (List.length windows);
-          Ok ()
-    in
-    match chrome_out with
-    | None -> Ok ()
-    | Some path ->
-        let* () = Wayplace.Sim.Timeline.write_chrome ~path windows in
-        Printf.printf "wrote %s (load in chrome://tracing or Perfetto)\n%!"
-          path;
-        Ok ()
+let timeline_cmd req window csv_out chrome_out resizes =
+  exit_code
+  @@
+  let* spec = find_spec req.P.benchmark in
+  let* config = P.config_of_sim req in
+  let schedule = List.map (fun (idx, kb) -> (idx, kb * 1024)) resizes in
+  let* () = if window > 0 then Ok () else Error "--window must be positive" in
+  let prep = Wayplace.Sim.Runner.prepare spec in
+  let* stats, windows =
+    match
+      Wayplace.Sim.Runner.run_timeline ~schedule ~window_cycles:window prep
+        config
+    with
+    | result -> Ok result
+    | exception Invalid_argument msg -> Error msg
   in
-  match result with
-  | Ok () -> 0
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+  Format.printf "benchmark: %s@." spec.Wayplace.Workloads.Spec.name;
+  Format.printf "%a@." Config.pp config;
+  Printf.printf "%d windows of %d cycles: %d cycles, %d retired, %.1f pJ\n"
+    (List.length windows) window stats.Sim_stats.cycles
+    stats.Sim_stats.retired_instrs
+    (Sim_stats.total_energy_pj stats);
+  if csv_out = None && chrome_out = None then print_timeline windows;
+  write_all
+    [
+      ( "CSV",
+        csv_out,
+        fun path ->
+          noted
+            (Printf.sprintf " (%d windows)" (List.length windows))
+            (Wayplace.Sim.Timeline.write_csv ~path windows) );
+      ( "Chrome trace",
+        chrome_out,
+        fun path ->
+          noted " (load in chrome://tracing or Perfetto)"
+            (Wayplace.Sim.Timeline.write_chrome ~path windows) );
+    ]
 
 (* --- lint: static verifier + abstract I-cache analysis --- *)
 
@@ -602,12 +541,12 @@ let strict_arg =
   Arg.(value & flag & info [ "strict" ] ~doc)
 
 let lint_json_arg =
-  let doc = "Write the findings and static summaries to this JSON file." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  file_arg "json"
+    "Write the findings and static summaries to this JSON file."
 
 let lint_csv_arg =
-  let doc = "Write the findings to this CSV file (RFC 4180)." in
-  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+  file_arg "csv"
+    "Write the findings to this CSV file (RFC 4180)."
 
 (* One benchmark's lint results: geometry-independent well-formedness
    findings on both layouts, the placement contract per geometry on the
@@ -744,63 +683,33 @@ let lint_json results =
     ]
 
 let lint_cmd benchmarks sizes ways line area static json_out csv_out strict =
-  let ( let* ) = Result.bind in
-  let result =
-    let* benchmarks =
-      match benchmarks with
-      | "all" -> Ok Wayplace.Workloads.Mibench.names
-      | names ->
-          List.fold_left
-            (fun acc name ->
-              let* acc = acc in
-              let name = String.trim name in
-              let* _spec = find_spec name in
-              Ok (name :: acc))
-            (Ok []) (comma_list names)
-          |> Result.map List.rev
-    in
-    let* sizes = parse_int_list ~what:"cache size" sizes in
-    let* ways = parse_int_list ~what:"associativity" ways in
+  exit_code
+  @@
+    let* benchmarks = Mibench.select benchmarks in
     let* geometries =
-      List.fold_left
-        (fun acc size_kb ->
-          List.fold_left
-            (fun acc assoc ->
-              let* acc = acc in
-              match
-                Wayplace.Cache.Geometry.make ~size_bytes:(size_kb * 1024)
-                  ~assoc ~line_bytes:line
-              with
-              | g -> Ok (g :: acc)
-              | exception Invalid_argument msg -> Error msg)
-            acc ways)
-        (Ok []) sizes
-      |> Result.map List.rev
+      map_result
+        (fun (size_kb, ways) ->
+          P.config_of_geometry ~scheme:Config.Baseline ~size_kb ~ways
+            ~line_bytes:line
+          |> Result.map (fun (c : Config.t) -> c.icache))
+        (List.concat_map (fun s -> List.map (fun w -> (s, w)) ways) sizes)
     in
     let* results =
-      List.fold_left
-        (fun acc name ->
-          let* acc = acc in
+      map_result
+        (fun name ->
           match lint_benchmark ~geometries ~area_kb:area ~static name with
-          | findings, statics -> Ok ((name, findings, statics) :: acc)
+          | findings, statics -> Ok (name, findings, statics)
           | exception Invalid_argument msg ->
               Error (Printf.sprintf "%s: %s" name msg))
-        (Ok []) benchmarks
-      |> Result.map List.rev
+        benchmarks
     in
     let all_findings =
       List.concat_map (fun (_, fs, _) -> List.map (fun (_, _, f) -> f) fs)
         results
     in
-    let soundness_violations =
-      List.concat_map
-        (fun (name, _, statics) ->
-          List.concat_map
-            (fun r ->
-              List.map
-                (fun v -> Printf.sprintf "%s @ %s: %s" name r.ls_geometry v)
-                r.ls_violations)
-            statics)
+    let unsound =
+      List.exists
+        (fun (_, _, statics) -> List.exists (fun r -> r.ls_violations <> []) statics)
         results
     in
     List.iter
@@ -843,75 +752,59 @@ let lint_cmd benchmarks sizes ways line area static json_out csv_out strict =
       results;
     (* Findings decide the exit code even when a report file cannot be
        written: a failed write must not mask severity 2/3 behind a
-       generic 1 (CI keys on the code).  Report the write error, keep
-       the severity, and only *raise* the code to 1 for clean runs. *)
-    let attempt_write what path = function
-      | Ok () ->
-          Printf.printf "wrote %s\n%!" path;
-          false
-      | Error msg ->
-          Format.eprintf "error: writing %s %s: %s@." what path msg;
-          true
+       generic 1 (CI keys on the code); it only raises a clean run's
+       code to 1. *)
+    let csv_rows =
+      List.concat_map
+        (fun (name, findings, _) ->
+          List.map
+            (fun (layout, geometry, (f : Lint.Finding.t)) ->
+              [
+                name;
+                layout;
+                geometry;
+                Lint.Finding.severity_name f.Lint.Finding.severity;
+                f.Lint.Finding.code;
+                (match f.Lint.Finding.block with
+                | Some b -> string_of_int b
+                | None -> "");
+                (match f.Lint.Finding.addr with
+                | Some a -> Printf.sprintf "0x%x" a
+                | None -> "");
+                f.Lint.Finding.message;
+              ])
+            findings)
+        results
     in
-    let csv_failed =
-      match csv_out with
-      | None -> false
-      | Some path ->
-          let rows =
-            List.concat_map
-              (fun (name, findings, _) ->
-                List.map
-                  (fun (layout, geometry, (f : Lint.Finding.t)) ->
-                    [
-                      name;
-                      layout;
-                      geometry;
-                      Lint.Finding.severity_name f.Lint.Finding.severity;
-                      f.Lint.Finding.code;
-                      (match f.Lint.Finding.block with
-                      | Some b -> string_of_int b
-                      | None -> "");
-                      (match f.Lint.Finding.addr with
-                      | Some a -> Printf.sprintf "0x%x" a
-                      | None -> "");
-                      f.Lint.Finding.message;
-                    ])
-                  findings)
-              results
-          in
-          attempt_write "CSV" path
-            (Report.write_csv ~path
-               ~header:
-                 [
-                   "benchmark"; "layout"; "geometry"; "severity"; "code";
-                   "block"; "addr"; "message";
-                 ]
-               ~rows)
-    in
-    let json_failed =
-      match json_out with
-      | None -> false
-      | Some path ->
-          attempt_write "JSON" path (Report.write_json ~path (lint_json results))
+    let write_failed =
+      write_outputs
+        [
+          ( "CSV",
+            csv_out,
+            fun path ->
+              plain
+                (Report.write_csv ~path
+                   ~header:
+                     [
+                       "benchmark"; "layout"; "geometry"; "severity"; "code";
+                       "block"; "addr"; "message";
+                     ]
+                   ~rows:csv_rows) );
+          ( "JSON",
+            json_out,
+            fun path -> plain (Report.write_json ~path (lint_json results)) );
+        ]
     in
     let code =
-      Lint.Finding.cli_exit_code ~strict
-        ~write_failed:(csv_failed || json_failed)
-        all_findings
+      Lint.Finding.cli_exit_code ~strict ~write_failed all_findings
     in
-    let code = if soundness_violations <> [] then 3 else code in
+    let code = if unsound then 3 else code in
     if code = 0 then
       Printf.printf "lint: clean (%d benchmark(s), %d geometr%s)\n"
         (List.length benchmarks)
         (List.length geometries)
         (if List.length geometries = 1 then "y" else "ies");
     Ok code
-  in
-  match result with
-  | Ok code -> code
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
 
 (* --- advise: the static placement advisor --- *)
 
@@ -921,6 +814,15 @@ let advise_page_arg =
   let doc = "Way-placement page size in bytes (power of two)." in
   Arg.(value & opt int 1024 & info [ "page" ] ~docv:"BYTES" ~doc)
 
+(* The analysis the daemon's [Advise] request describes. *)
+let advise_request_term =
+  Term.(
+    const (fun benchmark size_kb ways line_bytes area_kb page_bytes ->
+        P.advise_request ~size_kb ~ways ~line_bytes ~area_kb ~page_bytes
+          ~benchmark ())
+    $ benchmark_arg $ size_arg $ ways_arg $ line_arg $ area_arg
+    $ advise_page_arg)
+
 let advise_min_run_arg =
   let doc =
     "Hysteresis: schedule runs shorter than this many trace blocks are \
@@ -929,20 +831,18 @@ let advise_min_run_arg =
   Arg.(value & opt int 32 & info [ "min-run" ] ~docv:"N" ~doc)
 
 let advise_json_arg =
-  let doc = "Write the full advisor report to this JSON file." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  file_arg "json"
+    "Write the full advisor report to this JSON file."
 
 let advise_csv_arg =
-  let doc = "Write the per-region table to this CSV file (RFC 4180)." in
-  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+  file_arg "csv"
+    "Write the per-region table to this CSV file (RFC 4180)."
 
 let advise_schedule_arg =
-  let doc =
+  file_arg "schedule"
     "Write the oracle resize schedule to this JSON file, in the \
      [(trace_block_index, area_bytes)] form $(b,timeline --resize) and \
      [run_with_resizes] consume."
-  in
-  Arg.(value & opt (some string) None & info [ "schedule" ] ~docv:"FILE" ~doc)
 
 let advise_apply_arg =
   let doc =
@@ -959,47 +859,28 @@ let advise_measured_arg =
   in
   Arg.(value & flag & info [ "measured" ] ~doc)
 
-let advise_cmd benchmark size_kb ways line area_kb page min_run json_out
-    csv_out schedule_out apply measured strict =
-  let ( let* ) = Result.bind in
-  let result =
+let advise_cmd (req : P.advise_request) min_run json_out csv_out schedule_out
+    apply measured strict =
+  exit_code
+  @@
+    let benchmark = req.P.ad_benchmark and ways = req.P.ad_ways in
+    let page = req.P.ad_page_bytes and area_kb = req.P.ad_area_kb in
     let* spec = find_spec benchmark in
-    let* geometry =
-      match
-        Wayplace.Cache.Geometry.make ~size_bytes:(size_kb * 1024) ~assoc:ways
-          ~line_bytes:line
-      with
-      | g -> Ok g
-      | exception Invalid_argument msg -> Error msg
-    in
+    let* advised = P.config_of_advise req in
+    let geometry = advised.Config.icache in
     let prep = Wayplace.Sim.Runner.prepare spec in
     let program = prep.Wayplace.Sim.Runner.program in
-    let graph = program.Wayplace.Workloads.Codegen.graph in
-    let profile = prep.Wayplace.Sim.Runner.profile_small in
     let trace = prep.Wayplace.Sim.Runner.trace_large in
     let layout = prep.Wayplace.Sim.Runner.placed_layout in
-    let energy =
-      (Wayplace.Sim.Config.xscale Wayplace.Sim.Config.Baseline)
-        .Wayplace.Sim.Config.energy
-    in
     let* report =
-      match
-        Advise.Advisor.analyze ~min_run ~benchmark ~graph ~profile ~trace
-          ~layout ~geometry ~page_bytes:page ~area_bytes:(area_kb * 1024)
-          ~energy ()
-      with
+      match P.analyze_advise ~min_run prep req advised with
       | r -> Ok r
       | exception Invalid_argument msg -> Error msg
     in
     Format.printf "%a@." Advise.Advisor.pp report;
     let wp_config area_bytes =
-      let c =
-        Wayplace.Sim.Config.with_icache
-          (Wayplace.Sim.Config.xscale
-             (Wayplace.Sim.Config.Way_placement { area_bytes }))
-          geometry
-      in
-      { c with Wayplace.Sim.Config.page_bytes = page }
+      let c = Config.with_scheme advised (Config.Way_placement { area_bytes }) in
+      { c with Config.page_bytes = page }
     in
     if measured then begin
       let full_area =
@@ -1056,9 +937,9 @@ let advise_cmd benchmark size_kb ways line area_kb page min_run json_out
              greedy search; nothing to re-lay out@."
       | Some imp ->
           let improved =
-            Wayplace.Layout.Binary_layout.of_order graph
-              ~base:Wayplace.Sim.Simulator.code_base
-              imp.Advise.Advisor.order
+            Wayplace.Layout.Binary_layout.of_order
+              program.Wayplace.Workloads.Codegen.graph
+              ~base:Wayplace.Sim.Simulator.code_base imp.Advise.Advisor.order
           in
           let config = wp_config (area_kb * 1024) in
           let before =
@@ -1071,11 +952,8 @@ let advise_cmd benchmark size_kb ways line area_kb page min_run json_out
           let e_before = Stats.icache_energy_pj before in
           let e_after = Stats.icache_energy_pj after in
           let ed =
-            Wayplace.Energy.Ed.normalised_ed
-              ~scheme_energy_pj:(Stats.total_energy_pj after)
-              ~scheme_cycles:after.Stats.cycles
-              ~baseline_energy_pj:(Stats.total_energy_pj before)
-              ~baseline_cycles:before.Stats.cycles
+            (Wayplace.Sim.Runner.normalise ~baseline:before after)
+              .Wayplace.Sim.Runner.norm_ed
           in
           Format.printf
             "--- apply (conflict-graph order) ---@.misses %d -> %d, I-cache \
@@ -1085,45 +963,29 @@ let advise_cmd benchmark size_kb ways line area_kb page min_run json_out
             e_after (e_before -. e_after)
             imp.Advise.Advisor.predicted_delta_pj ed
     end;
-    let attempt_write what path = function
-      | Ok () ->
-          Printf.printf "wrote %s\n%!" path;
-          false
-      | Error msg ->
-          Format.eprintf "error: writing %s %s: %s@." what path msg;
-          true
+    let write_failed =
+      write_outputs
+        [
+          ( "JSON",
+            json_out,
+            fun path ->
+              plain (Report.write_json ~path (Advise.Advisor.to_json report)) );
+          ( "CSV",
+            csv_out,
+            fun path ->
+              plain
+                (Report.write_csv ~path ~header:Advise.Advisor.csv_header
+                   ~rows:(Advise.Advisor.csv_rows report)) );
+          ( "schedule JSON",
+            schedule_out,
+            fun path ->
+              plain
+                (Report.write_json ~path
+                   (Advise.Advisor.schedule_to_json
+                      report.Advise.Advisor.schedule)) );
+        ]
     in
-    let write_failed = ref false in
-    let record failed = if failed then write_failed := true in
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        record
-          (attempt_write "JSON" path
-             (Report.write_json ~path (Advise.Advisor.to_json report))));
-    (match csv_out with
-    | None -> ()
-    | Some path ->
-        record
-          (attempt_write "CSV" path
-             (Report.write_csv ~path ~header:Advise.Advisor.csv_header
-                ~rows:(Advise.Advisor.csv_rows report))));
-    (match schedule_out with
-    | None -> ()
-    | Some path ->
-        record
-          (attempt_write "schedule JSON" path
-             (Report.write_json ~path
-                (Advise.Advisor.schedule_to_json
-                   report.Advise.Advisor.schedule))));
-    let code = Advise.Advisor.exit_code ~strict report in
-    Ok (if !write_failed then max code 1 else code)
-  in
-  match result with
-  | Ok code -> code
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    Ok (max (Advise.Advisor.exit_code ~strict report) (Bool.to_int write_failed))
 
 (* --- mp: multiprogrammed runs --- *)
 
@@ -1151,20 +1013,29 @@ let mp_no_kernel_arg =
   let doc = "Skip the interrupt-handler kernel at context switches." in
   Arg.(value & flag & info [ "no-kernel" ] ~doc)
 
+(* The switch policies are the request's booleans: [true] = flush
+   (BTB, drowsy state) or the priority scheduler. *)
+let shared_or_flush = Arg.enum [ ("shared", false); ("flush", true) ]
+
 let mp_btb_arg =
   let doc = "BTB policy at switches: $(b,shared) or $(b,flush)." in
-  Arg.(value & opt string "shared" & info [ "btb" ] ~docv:"POLICY" ~doc)
+  Arg.(value & opt shared_or_flush false & info [ "btb" ] ~docv:"POLICY" ~doc)
 
 let mp_drowsy_arg =
   let doc =
     "Drowsy policy at switches: $(b,shared) (timestamps rebased onto the \
      incoming process's clock) or $(b,flush) (every line dropped drowsy)."
   in
-  Arg.(value & opt string "shared" & info [ "drowsy-policy" ] ~docv:"POLICY" ~doc)
+  Arg.(
+    value & opt shared_or_flush false
+    & info [ "drowsy-policy" ] ~docv:"POLICY" ~doc)
 
 let mp_sched_arg =
   let doc = "Scheduler: $(b,rr) (round-robin) or $(b,priority)." in
-  Arg.(value & opt string "rr" & info [ "sched" ] ~docv:"POLICY" ~doc)
+  Arg.(
+    value
+    & opt (enum [ ("round-robin", false); ("rr", false); ("priority", true) ]) false
+    & info [ "sched" ] ~docv:"POLICY" ~doc)
 
 let mp_verify_arg =
   let doc =
@@ -1177,122 +1048,67 @@ let mp_verify_arg =
   Arg.(value & flag & info [ "verify" ] ~doc)
 
 let mp_json_arg =
-  let doc = "Write the mp result (aggregate + per-process attribution) to this JSON file." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  file_arg "json"
+    "Write the mp result (aggregate + per-process attribution) to this JSON file."
 
 let mp_csv_arg =
-  let doc = "Write the per-process attribution table to this CSV file." in
-  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+  file_arg "csv"
+    "Write the per-process attribution table to this CSV file."
 
-let parse_mix ~mix ~coverage =
-  let ( let* ) = Result.bind in
-  let* base =
-    let prefix = "random:" in
-    let plen = String.length prefix in
-    if String.length mix > plen && String.sub mix 0 plen = prefix then
-      match
-        int_of_string_opt (String.sub mix plen (String.length mix - plen))
-      with
-      | Some seed -> Ok (Wayplace.Check.Progen.mix_of_seed seed)
-      | None ->
-          Error
-            (Printf.sprintf "bad mix %S: random: needs an integer seed" mix)
-    else
-      Mp.Mix.of_names
-        (comma_list mix |> List.map String.trim
-        |> List.filter (fun s -> s <> ""))
-  in
-  match coverage with
-  | "mix" -> Ok base
-  | c ->
-      let* c = Mp.Mix.coverage_of_string c in
-      Ok (Mp.Mix.apply_coverage c base)
-
-let parse_mp_options ~quantum ~no_kernel ~btb ~drowsy ~sched =
-  let ( let* ) = Result.bind in
-  let* btb_policy =
-    match btb with
-    | "shared" -> Ok Mp.Machine.Btb_shared
-    | "flush" -> Ok Mp.Machine.Btb_flush
-    | s -> Error (Printf.sprintf "unknown BTB policy %S (shared|flush)" s)
-  in
-  let* drowsy_policy =
-    match drowsy with
-    | "shared" -> Ok Mp.Machine.Drowsy_shared
-    | "flush" -> Ok Mp.Machine.Drowsy_flush
-    | s -> Error (Printf.sprintf "unknown drowsy policy %S (shared|flush)" s)
-  in
-  let* sched =
-    match sched with
-    | "rr" | "round-robin" -> Ok Mp.Machine.Round_robin
-    | "priority" -> Ok Mp.Machine.Priority
-    | s -> Error (Printf.sprintf "unknown scheduler %S (rr|priority)" s)
-  in
-  Ok
-    {
-      Mp.Machine.quantum_cycles = quantum;
-      kernel = not no_kernel;
-      btb_policy;
-      drowsy_policy;
-      sched;
-    }
-
-let mp_conservation (r : Mp.Machine.result) =
-  let agg = Sim_stats.snapshot_ints r.Mp.Machine.aggregate in
-  let sum = Array.make (Array.length agg) 0 in
-  let add s =
-    Array.iteri (fun i v -> sum.(i) <- sum.(i) + v) (Sim_stats.snapshot_ints s)
-  in
-  List.iter
-    (fun (p : Mp.Machine.process_result) -> add p.Mp.Machine.pr_stats)
-    r.Mp.Machine.processes;
-  add r.Mp.Machine.system;
-  if sum = agg then Ok ()
-  else Error "per-process + system counters do not sum to the aggregate"
+(* The machine and mix the daemon's [Mp] request describes. *)
+let mp_request_term =
+  Term.(
+    const
+      (fun mix coverage quantum no_kernel btb_flush drowsy_flush priority
+           scheme area size_kb ways line_bytes ->
+        P.mp_request ~coverage ~quantum ~kernel:(not no_kernel) ~btb_flush
+          ~drowsy_flush ~priority ~size_kb ~ways ~line_bytes ~mix
+          ~scheme:(with_area area scheme) ())
+    $ mp_mix_arg $ mp_coverage_arg $ mp_quantum_arg $ mp_no_kernel_arg
+    $ mp_btb_arg $ mp_drowsy_arg $ mp_sched_arg $ scheme_arg $ area_arg
+    $ size_arg $ ways_arg $ line_arg)
 
 let mp_verify_run ~config ~options mix (fast : Mp.Machine.result) =
-  let ( let* ) = Result.bind in
-  let* () =
-    List.fold_left
-      (fun acc (p : Mp.Mix.proc) ->
-        let* () = acc in
+  let* _ =
+    map_result
+      (fun (p : Mp.Mix.proc) ->
         let prep = Wayplace.Sim.Runner.prepare p.Mp.Mix.spec in
         let cell = Wayplace.Sim.Runner.run_scheme prep config in
         let solo =
           Mp.Machine.run ~config ~options:Mp.Machine.oracle_options
             [ { p with Mp.Mix.placed = true } ]
         in
-        if Sim_stats.equal solo.Mp.Machine.aggregate cell then Ok ()
-        else
-          Error
-            (Format.asprintf
-               "identity oracle failed for %s: mp diverges from \
-                Simulator.run:@ %a"
-               p.Mp.Mix.pname Sim_stats.pp_diff
-               (solo.Mp.Machine.aggregate, cell)))
-      (Ok ()) mix
+        same_stats
+          (Printf.sprintf
+             "identity oracle failed for %s: mp diverges from Simulator.run"
+             p.Mp.Mix.pname)
+          solo.Mp.Machine.aggregate cell)
+      mix
   in
   let refr = Mp.Machine.run ~reference_only:true ~config ~options mix in
-  if not (Sim_stats.equal fast.Mp.Machine.aggregate refr.Mp.Machine.aggregate)
-  then
-    Error
-      (Format.asprintf "mp fast path diverges from the reference loop:@ %a"
-         Sim_stats.pp_diff
-         (fast.Mp.Machine.aggregate, refr.Mp.Machine.aggregate))
-  else if
-    not
-      (List.for_all2
-         (fun (a : Mp.Machine.process_result) (b : Mp.Machine.process_result) ->
-           Sim_stats.equal a.Mp.Machine.pr_stats b.Mp.Machine.pr_stats)
-         fast.Mp.Machine.processes refr.Mp.Machine.processes)
-  then Error "mp fast path diverges from the reference loop on a per-process account"
-  else Ok ()
+  let* () =
+    same_stats "mp fast path diverges from the reference loop"
+      fast.Mp.Machine.aggregate refr.Mp.Machine.aggregate
+  in
+  if
+    List.for_all2
+      (fun (a : Mp.Machine.process_result) (b : Mp.Machine.process_result) ->
+        Sim_stats.equal a.Mp.Machine.pr_stats b.Mp.Machine.pr_stats)
+      fast.Mp.Machine.processes refr.Mp.Machine.processes
+  then Ok ()
+  else Error "mp fast path diverges from the reference loop on a per-process account"
 
-let mp_process_row (p : Mp.Machine.process_result) =
-  ( p.Mp.Machine.pr_name,
-    p.Mp.Machine.pr_placed,
-    p.Mp.Machine.pr_dispatches,
-    p.Mp.Machine.pr_stats )
+(* The attribution table: one row per process, then the system and the
+   aggregate. *)
+let mp_rows (r : Mp.Machine.result) =
+  List.map
+    (fun (p : Mp.Machine.process_result) ->
+      (p.pr_name, p.pr_placed, p.pr_dispatches, p.pr_stats))
+    r.Mp.Machine.processes
+  @ [
+      ("system", false, r.Mp.Machine.kernel_runs, r.Mp.Machine.system);
+      ("aggregate", false, 0, r.Mp.Machine.aggregate);
+    ]
 
 let mp_result_json mix options (r : Mp.Machine.result) =
   let stats_fields (s : Sim_stats.t) =
@@ -1318,52 +1134,47 @@ let mp_result_json mix options (r : Mp.Machine.result) =
       ( "per_process",
         Report.Jlist
           (List.map
-             (fun p ->
-               let name, placed, dispatches, s = mp_process_row p in
+             (fun (p : Mp.Machine.process_result) ->
                Report.Jobj
                  ([
-                    ("name", Report.Jstring name);
-                    ("placed", Report.Jbool placed);
-                    ("dispatches", Report.Jint dispatches);
+                    ("name", Report.Jstring p.pr_name);
+                    ("placed", Report.Jbool p.pr_placed);
+                    ("dispatches", Report.Jint p.pr_dispatches);
                   ]
-                 @ stats_fields s))
+                 @ stats_fields p.pr_stats))
              r.Mp.Machine.processes) );
     ]
 
-let mp_result_csv (r : Mp.Machine.result) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    "process,placed,dispatches,retired,cycles,icache_energy_pj,total_energy_pj\n";
-  let row name placed dispatches (s : Sim_stats.t) =
-    Buffer.add_string b
-      (Printf.sprintf "%s,%b,%d,%d,%d,%.6f,%.6f\n" name placed dispatches
-         s.Sim_stats.retired_instrs s.Sim_stats.cycles
-         (Sim_stats.icache_energy_pj s)
-         (Sim_stats.total_energy_pj s))
-  in
-  List.iter
-    (fun p ->
-      let name, placed, dispatches, s = mp_process_row p in
-      row name placed dispatches s)
-    r.Mp.Machine.processes;
-  row "system" false r.Mp.Machine.kernel_runs r.Mp.Machine.system;
-  row "aggregate" false 0 r.Mp.Machine.aggregate;
-  Buffer.contents b
+let mp_result_csv r =
+  String.concat ""
+    ("process,placed,dispatches,retired,cycles,icache_energy_pj,total_energy_pj\n"
+    :: List.map
+         (fun (name, placed, dispatches, (s : Sim_stats.t)) ->
+           Printf.sprintf "%s,%b,%d,%d,%d,%.6f,%.6f\n" name placed dispatches
+             s.Sim_stats.retired_instrs s.Sim_stats.cycles
+             (Sim_stats.icache_energy_pj s)
+             (Sim_stats.total_energy_pj s))
+         (mp_rows r))
 
-let mp_cmd mix_s coverage quantum no_kernel btb drowsy sched scheme area size
-    ways line window json_out csv_out chrome_out verify =
-  let ( let* ) = Result.bind in
-  let result =
-    let* scheme = parse_scheme scheme area in
-    let* config = config_of ~scheme ~size_kb:size ~ways ~line in
-    let* mix = parse_mix ~mix:mix_s ~coverage in
-    let* options = parse_mp_options ~quantum ~no_kernel ~btb ~drowsy ~sched in
+let mp_cmd req window json_out csv_out chrome_out verify =
+  exit_code
+  @@
+    let* config = P.config_of_mp req in
+    let* mix = P.resolve_mix req in
+    let options = P.options_of_mp req in
+    let* () =
+      if chrome_out = None || window > 0 then Ok ()
+      else Error "--window must be positive"
+    in
     let* r =
       match Mp.Machine.run ~config ~options mix with
       | r -> Ok r
       | exception Invalid_argument msg -> Error msg
     in
-    let* () = mp_conservation r in
+    let* () =
+      if Mp.Machine.conserves r then Ok ()
+      else Error "per-process + system counters do not sum to the aggregate"
+    in
     let* () = if verify then mp_verify_run ~config ~options mix r else Ok () in
     Format.printf "mix: %a@." Mp.Mix.pp mix;
     Format.printf "%a@." Wayplace.Sim.Config.pp config;
@@ -1378,61 +1189,33 @@ let mp_cmd mix_s coverage quantum no_kernel btb drowsy sched scheme area size
       r.Mp.Machine.kernel_runs r.Mp.Machine.timer_fires;
     Printf.printf "%-12s %-6s %10s %10s %12s %14s %14s\n" "process" "placed"
       "dispatch" "retired" "cycles" "icache_pj" "total_pj";
-    let row name placed dispatches (s : Sim_stats.t) =
-      Printf.printf "%-12s %-6b %10d %10d %12d %14.1f %14.1f\n" name placed
-        dispatches s.Sim_stats.retired_instrs s.Sim_stats.cycles
-        (Sim_stats.icache_energy_pj s)
-        (Sim_stats.total_energy_pj s)
-    in
     List.iter
-      (fun p ->
-        let name, placed, dispatches, s = mp_process_row p in
-        row name placed dispatches s)
-      r.Mp.Machine.processes;
-    row "system" false r.Mp.Machine.kernel_runs r.Mp.Machine.system;
-    row "aggregate" false 0 r.Mp.Machine.aggregate;
+      (fun (name, placed, dispatches, (s : Sim_stats.t)) ->
+        Printf.printf "%-12s %-6b %10d %10d %12d %14.1f %14.1f\n" name placed
+          dispatches s.Sim_stats.retired_instrs s.Sim_stats.cycles
+          (Sim_stats.icache_energy_pj s)
+          (Sim_stats.total_energy_pj s))
+      (mp_rows r);
     if verify then
       Printf.printf
         "verify: identity oracle, fast=reference and conservation all OK\n";
-    let* () =
-      match json_out with
-      | None -> Ok ()
-      | Some path ->
-          let* () = Report.write_json ~path (mp_result_json mix options r) in
-          Printf.printf "wrote %s\n%!" path;
-          Ok ()
+    let chrome path =
+      let sampler = Sampler.create ~window_cycles:window () in
+      ignore (Mp.Machine.run ~probe:(Sampler.probe sampler) ~config ~options mix);
+      let windows = Sampler.finish sampler in
+      noted
+        (Printf.sprintf " (%d windows, context switches as instant events)"
+           (List.length windows))
+        (Wayplace.Sim.Timeline.write_chrome ~path windows)
     in
-    let* () =
-      match csv_out with
-      | None -> Ok ()
-      | Some path -> (
-          match
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (mp_result_csv r))
-          with
-          | () ->
-              Printf.printf "wrote %s\n%!" path;
-              Ok ()
-          | exception Sys_error msg -> Error msg)
-    in
-    match chrome_out with
-    | None -> Ok ()
-    | Some path ->
-        let* () = if window > 0 then Ok () else Error "--window must be positive" in
-        let sampler = Sampler.create ~window_cycles:window () in
-        ignore (Mp.Machine.run ~probe:(Sampler.probe sampler) ~config ~options mix);
-        let windows = Sampler.finish sampler in
-        let* () = Wayplace.Sim.Timeline.write_chrome ~path windows in
-        Printf.printf
-          "wrote %s (%d windows, context switches as instant events)\n%!" path
-          (List.length windows);
-        Ok ()
-  in
-  match result with
-  | Ok () -> 0
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    write_all
+      [
+        ( "JSON",
+          json_out,
+          fun path -> plain (Report.write_json ~path (mp_result_json mix options r)) );
+        ("CSV", csv_out, save_text ~note:"" (mp_result_csv r));
+        ("Chrome trace", chrome_out, chrome);
+      ]
 
 (* --- serve / loadtest: the placement service --- *)
 
@@ -1465,8 +1248,8 @@ let store_arg =
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
 let serve_cmd socket port host store jobs quiet =
-  let ( let* ) = Result.bind in
-  let result =
+  exit_code
+  @@
     let* endpoint = endpoint_of ~socket ~port ~host in
     let* daemon = Serve.Daemon.create ?workers:jobs ?store_dir:store ~endpoint () in
     let stop _ = Serve.Daemon.stop daemon in
@@ -1488,13 +1271,7 @@ let serve_cmd socket port host store jobs quiet =
         s.Serve.Protocol.computations s.Serve.Protocol.hits_memory
         s.Serve.Protocol.hits_disk s.Serve.Protocol.coalesced
         s.Serve.Protocol.errors;
-    Ok ()
-  in
-  match result with
-  | Ok () -> 0
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    Ok 0
 
 let loadtest_total_arg =
   let doc = "Total number of simulation requests to fire." in
@@ -1527,29 +1304,8 @@ let shutdown_after_arg =
   Arg.(value & flag & info [ "shutdown-after" ] ~doc)
 
 let loadtest_mix ~benchmarks ~schemes ~area ~verify ~grid ~mp_mixes =
-  let ( let* ) = Result.bind in
-  let* benchmarks =
-    match benchmarks with
-    | "all" -> Ok Wayplace.Workloads.Mibench.names
-    | names ->
-        List.fold_left
-          (fun acc name ->
-            let* acc = acc in
-            let name = String.trim name in
-            let* _spec = find_spec name in
-            Ok (name :: acc))
-          (Ok []) (comma_list names)
-        |> Result.map List.rev
-  in
-  let* schemes =
-    List.fold_left
-      (fun acc s ->
-        let* acc = acc in
-        let* p = parse_scheme (String.trim s) area in
-        Ok (p :: acc))
-      (Ok []) (comma_list schemes)
-    |> Result.map List.rev
-  in
+  let* benchmarks = Mibench.select benchmarks in
+  let schemes = List.map (with_area area) schemes in
   let sims =
     (* --grid ships the whole cross product as one batched request:
        the daemon expands it server-side, streams per-cell replies and
@@ -1582,6 +1338,8 @@ let loadtest_mix ~benchmarks ~schemes ~area ~verify ~grid ~mp_mixes =
   in
   Ok (Array.of_list (sims @ mps))
 
+let loadtest_json_arg = file_arg "json" "Write the load-test report to this JSON file."
+
 let loadtest_benchmarks_arg =
   let doc =
     "Comma-separated benchmark names for the request mix, or $(b,all)."
@@ -1592,7 +1350,8 @@ let loadtest_schemes_arg =
   let doc = "Comma-separated schemes for the request mix." in
   Arg.(
     value
-    & opt string "baseline,wayplace,waymemo"
+    & opt (list scheme_conv)
+        (List.map scheme_named [ "baseline"; "wayplace"; "waymemo" ])
     & info [ "s"; "schemes" ] ~docv:"SCHEMES" ~doc)
 
 let loadtest_mp_arg =
@@ -1614,8 +1373,8 @@ let loadtest_grid_arg =
 
 let loadtest_cmd socket port host total connections depth benchmarks schemes
     area verify grid mp_mixes json_out expect_hit shutdown_after quiet =
-  let ( let* ) = Result.bind in
-  let result =
+  exit_code
+  @@
     let* endpoint = endpoint_of ~socket ~port ~host in
     let* mix =
       loadtest_mix ~benchmarks ~schemes ~area ~verify ~grid ~mp_mixes
@@ -1623,13 +1382,14 @@ let loadtest_cmd socket port host total connections depth benchmarks schemes
     let spec = { Serve.Loadtest.endpoint; connections; depth; total; mix } in
     let* r = Serve.Loadtest.run spec in
     if not quiet then Format.printf "%a@." Serve.Loadtest.pp r;
-    let* () =
-      match json_out with
-      | None -> Ok ()
-      | Some path ->
-          let* () = Report.write_json ~path (Serve.Loadtest.to_json r) in
-          if not quiet then Printf.printf "wrote %s\n%!" path;
-          Ok ()
+    (* a failed report write must not skip the shutdown or the gate *)
+    let write_failed =
+      write_outputs ~quiet
+        [
+          ( "JSON",
+            json_out,
+            fun path -> plain (Report.write_json ~path (Serve.Loadtest.to_json r)) );
+        ]
     in
     let* () =
       if not shutdown_after then Ok ()
@@ -1644,17 +1404,11 @@ let loadtest_cmd socket port host total connections depth benchmarks schemes
         Error
           (Printf.sprintf "hit ratio %.3f below expected %.3f"
              r.Serve.Loadtest.hit_ratio want)
-    | _ -> Ok ()
-  in
-  match result with
-  | Ok () -> 0
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    | _ -> Ok (Bool.to_int write_failed)
 
 let profile_arg =
-  let doc = "Load the training profile from this file instead of rerunning." in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
+  file_arg "profile"
+    "Load the training profile from this file instead of rerunning."
 
 let output_arg =
   let doc = "Write the artifact to this file." in
@@ -1662,37 +1416,25 @@ let output_arg =
 
 let input_arg =
   let doc = "Training input: small or large." in
-  Arg.(value & opt string "small" & info [ "input" ] ~docv:"INPUT" ~doc)
-
-let parse_input = function
-  | "small" -> Ok Wayplace.Workloads.Tracer.Small
-  | "large" -> Ok Wayplace.Workloads.Tracer.Large
-  | s -> Error (Printf.sprintf "unknown input %S (small|large)" s)
+  let inputs = Wayplace.Workloads.Tracer.[ ("small", Small); ("large", Large) ] in
+  Arg.(value & opt (enum inputs) Wayplace.Workloads.Tracer.Small
+       & info [ "input" ] ~docv:"INPUT" ~doc)
 
 let profile_cmd benchmark input output =
-  let ( let* ) = Result.bind in
-  let result =
+  exit_code
+  @@
     let* spec = find_spec benchmark in
-    let* input = parse_input input in
     let program = Wayplace.Workloads.Codegen.generate spec in
     let profile = Wayplace.Workloads.Tracer.profile program input in
     let serialised = Wayplace.Serial.profile_to_string profile in
-    (match output with
-    | Some path ->
-        Wayplace.Serial.save ~path serialised;
-        Format.printf "wrote %s (%d blocks profiled)@." path
-          (Wayplace.Cfg.Profile.num_blocks profile)
-    | None -> print_string serialised);
-    Ok ()
-  in
-  match result with
-  | Ok () -> 0
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    if output = None then print_string serialised;
+    let note =
+      Printf.sprintf " (%d blocks profiled)"
+        (Wayplace.Cfg.Profile.num_blocks profile)
+    in
+    write_all [ ("profile", output, save_text ~note serialised) ]
 
 let load_profile path ~num_blocks =
-  let ( let* ) = Result.bind in
   let* contents = Wayplace.Serial.load ~path in
   let* profile = Wayplace.Serial.profile_of_string contents in
   if Wayplace.Cfg.Profile.num_blocks profile <> num_blocks then
@@ -1705,13 +1447,16 @@ let load_profile path ~num_blocks =
 let layout_report program profile order_output =
       let compiled = Wayplace.compile program.Wayplace.Workloads.Codegen.graph profile in
       let graph = program.Wayplace.Workloads.Codegen.graph in
-      (match order_output with
-      | Some path ->
-          Wayplace.Serial.save ~path
-            (Wayplace.Serial.order_to_string
-               (Wayplace.Layout.Binary_layout.order compiled.Wayplace.layout));
-          Format.printf "wrote block order to %s@." path
-      | None -> ());
+      let write_failed =
+        write_outputs
+          [
+            ( "block order",
+              order_output,
+              save_text ~note:" (block order)"
+                (Wayplace.Serial.order_to_string
+                   (Wayplace.Layout.Binary_layout.order compiled.Wayplace.layout)) );
+          ]
+      in
       Format.printf "%a@." Wayplace.Cfg.Icfg.pp_summary graph;
       Format.printf "%a@." Wayplace.Layout.Binary_layout.pp
         compiled.Wayplace.layout;
@@ -1745,53 +1490,46 @@ let layout_report program profile order_output =
             end
           end)
         hottest;
-      0
+      Bool.to_int write_failed
+
+(* A benchmark's program and training profile: the small input's, or
+   the one saved in [profile_path]. *)
+let program_and_profile ?profile_path benchmark =
+  let* spec = find_spec benchmark in
+  let program = Wayplace.Workloads.Codegen.generate spec in
+  let* profile =
+    match profile_path with
+    | None ->
+        Ok
+          (Wayplace.Workloads.Tracer.profile program
+             Wayplace.Workloads.Tracer.Small)
+    | Some path ->
+        load_profile path
+          ~num_blocks:
+            (Wayplace.Cfg.Icfg.num_blocks
+               program.Wayplace.Workloads.Codegen.graph)
+  in
+  Ok (program, profile)
 
 let layout_cmd benchmark profile_path order_output =
-  match find_spec benchmark with
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Ok spec -> begin
-      let program = Wayplace.Workloads.Codegen.generate spec in
-      let profile_result =
-        match profile_path with
-        | None ->
-            Ok
-              (Wayplace.Workloads.Tracer.profile program
-                 Wayplace.Workloads.Tracer.Small)
-        | Some path ->
-            load_profile path
-              ~num_blocks:
-                (Wayplace.Cfg.Icfg.num_blocks
-                   program.Wayplace.Workloads.Codegen.graph)
-      in
-      match profile_result with
-      | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          1
-      | Ok profile -> layout_report program profile order_output
-    end
+  exit_code
+  @@
+    let* program, profile = program_and_profile ?profile_path benchmark in
+    Ok (layout_report program profile order_output)
 
 let limit_arg =
   let doc = "Maximum number of blocks to print." in
   Arg.(value & opt int 24 & info [ "limit" ] ~docv:"N" ~doc)
 
 let disasm_cmd benchmark limit =
-  match find_spec benchmark with
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  | Ok spec ->
-      let program = Wayplace.Workloads.Codegen.generate spec in
-      let graph = program.Wayplace.Workloads.Codegen.graph in
-      let profile =
-        Wayplace.Workloads.Tracer.profile program Wayplace.Workloads.Tracer.Small
-      in
-      let compiled = Wayplace.compile graph profile in
-      Wayplace.Layout.Listing.pp ~limit_blocks:limit Format.std_formatter
-        ~graph ~layout:compiled.Wayplace.layout;
-      0
+  exit_code
+  @@
+    let* program, profile = program_and_profile benchmark in
+    let graph = program.Wayplace.Workloads.Codegen.graph in
+    let compiled = Wayplace.compile graph profile in
+    Wayplace.Layout.Listing.pp ~limit_blocks:limit Format.std_formatter
+      ~graph ~layout:compiled.Wayplace.layout;
+    Ok 0
 
 let list_cmd () =
   List.iter print_endline Wayplace.Workloads.Mibench.names;
@@ -1799,8 +1537,8 @@ let list_cmd () =
 
 let run_term =
   Term.(
-    const run_cmd $ benchmark_arg $ scheme_arg $ area_arg $ size_arg $ ways_arg
-    $ line_arg $ no_fastforward_arg $ ff_stats_arg $ check_ff_arg)
+    const run_cmd $ sim_request_term $ no_fastforward_arg $ ff_stats_arg
+    $ check_ff_arg)
 
 let cmds =
   [
@@ -1821,9 +1559,8 @@ let cmds =
             export the timeline (stdout table, CSV, or Chrome trace-event \
             JSON)")
       Term.(
-        const timeline_cmd $ benchmark_arg $ scheme_arg $ area_arg $ size_arg
-        $ ways_arg $ line_arg $ window_arg $ timeline_csv_arg $ chrome_arg
-        $ resize_arg);
+        const timeline_cmd $ sim_request_term $ window_arg $ timeline_csv_arg
+        $ chrome_arg $ resize_arg);
     Cmd.v
       (Cmd.info "fuzz"
          ~doc:
@@ -1838,10 +1575,8 @@ let cmds =
             per-process + aggregate energy attribution; $(b,--verify) \
             asserts the identity oracle and fast=reference bit-identity.")
       Term.(
-        const mp_cmd $ mp_mix_arg $ mp_coverage_arg $ mp_quantum_arg
-        $ mp_no_kernel_arg $ mp_btb_arg $ mp_drowsy_arg $ mp_sched_arg
-        $ scheme_arg $ area_arg $ size_arg $ ways_arg $ line_arg $ window_arg
-        $ mp_json_arg $ mp_csv_arg $ chrome_arg $ mp_verify_arg);
+        const mp_cmd $ mp_request_term $ window_arg $ mp_json_arg $ mp_csv_arg
+        $ chrome_arg $ mp_verify_arg);
     Cmd.v
       (Cmd.info "lint"
          ~doc:
@@ -1866,10 +1601,9 @@ let cmds =
             the static minimal-ways bound against simulation.  Exits like \
             $(b,lint): 3 on errors, 2 on warnings under $(b,--strict).")
       Term.(
-        const advise_cmd $ benchmark_arg $ size_arg $ ways_arg $ line_arg
-        $ area_arg $ advise_page_arg $ advise_min_run_arg $ advise_json_arg
-        $ advise_csv_arg $ advise_schedule_arg $ advise_apply_arg
-        $ advise_measured_arg $ strict_arg);
+        const advise_cmd $ advise_request_term $ advise_min_run_arg
+        $ advise_json_arg $ advise_csv_arg $ advise_schedule_arg
+        $ advise_apply_arg $ advise_measured_arg $ strict_arg);
     Cmd.v
       (Cmd.info "layout" ~doc:"Show the way-placement layout of a benchmark")
       Term.(const layout_cmd $ benchmark_arg $ profile_arg $ output_arg);
@@ -1901,7 +1635,8 @@ let cmds =
         const loadtest_cmd $ socket_arg $ port_arg $ host_arg
         $ loadtest_total_arg $ loadtest_conns_arg $ loadtest_depth_arg
         $ loadtest_benchmarks_arg $ loadtest_schemes_arg $ area_arg
-        $ loadtest_verify_arg $ loadtest_grid_arg $ loadtest_mp_arg $ json_arg
+        $ loadtest_verify_arg $ loadtest_grid_arg $ loadtest_mp_arg
+        $ loadtest_json_arg
         $ expect_hit_arg $ shutdown_after_arg $ quiet_arg);
     Cmd.v (Cmd.info "list" ~doc:"List the benchmark suite")
       Term.(const list_cmd $ const ());

@@ -725,12 +725,8 @@ let check_mp_identity ~where spec (config : Config.t) (cell : Stats.t) =
             ])
     [ ("fast path", false); ("reference path", true) ]
 
-let mp_int_conservation ~where (r : Mp.result) =
-  let sum = Array.map (fun _ -> 0) (Stats.snapshot_ints r.Mp.aggregate) in
-  let add s = Array.iteri (fun i v -> sum.(i) <- sum.(i) + v) (Stats.snapshot_ints s) in
-  List.iter (fun (p : Mp.process_result) -> add p.Mp.pr_stats) r.Mp.processes;
-  add r.Mp.system;
-  if sum = Stats.snapshot_ints r.Mp.aggregate then []
+let mp_int_conservation ~where r =
+  if Mp.conserves r then []
   else
     [
       Printf.sprintf

@@ -65,6 +65,13 @@ let switches_per_million r =
     float_of_int r.switches *. 1_000_000.0
     /. float_of_int r.aggregate.Stats.retired_instrs
 
+let conserves r =
+  let sum = Array.map (fun _ -> 0) (Stats.snapshot_ints r.aggregate) in
+  let add s = Array.iteri (fun i v -> sum.(i) <- sum.(i) + v) (Stats.snapshot_ints s) in
+  List.iter (fun p -> add p.pr_stats) r.processes;
+  add r.system;
+  sum = Stats.snapshot_ints r.aggregate
+
 (* One process's share of the machine: its compiled image at a private
    base address, replayed with its own data stream, [Stats.t] and
    counters, and its scheduling state.  The interrupt kernel reuses the

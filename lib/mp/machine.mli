@@ -81,6 +81,10 @@ val switches_per_million : result -> float
 (** Context switches per million retired instructions — the headline
     pressure metric of the quantum-sweep experiment. *)
 
+val conserves : result -> bool
+(** The attribution law: every integer counter of the per-process
+    stats plus the system stats sums exactly to the aggregate. *)
+
 val run :
   ?probe:Wp_obs.Probe.t ->
   ?reference_only:bool ->

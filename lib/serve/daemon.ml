@@ -4,7 +4,6 @@ module Runner = Wp_sim.Runner
 module Simulator = Wp_sim.Simulator
 module Stats = Wp_sim.Stats
 module Machine = Wp_mp.Machine
-module Mix = Wp_mp.Mix
 module P = Protocol
 
 let ( let* ) = Result.bind
@@ -383,52 +382,14 @@ let sim_request t (sr : P.sim_request) =
       fun source v -> Result.map (fun r -> P.Sim_reply r) (sim_result job source v)
     )
 
-(* The wire mix string, resolved to a concrete process list: MiBench
-   names, or "random:SEED" through the fuzzer's deterministic mix
-   generator.  Resolution is cheap (spec lookup / generation only);
-   program generation and tracing happen inside [Machine.run] on an
-   executor domain. *)
-let resolve_mix (mr : P.mp_request) =
-  let s = mr.P.mp_mix in
-  let* mix =
-    if String.length s > 7 && String.starts_with ~prefix:"random:" s then
-      match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-      | Some seed -> Ok (Wp_check.Progen.mix_of_seed seed)
-      | None ->
-          Error (Printf.sprintf "bad mix %S: random: needs an integer seed" s)
-    else
-      Mix.of_names
-        (String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (( <> ) ""))
-  in
-  match mr.P.mp_coverage with
-  | "mix" -> Ok mix
-  | other ->
-      Result.map
-        (fun c -> Mix.apply_coverage c mix)
-        (Mix.coverage_of_string other)
-
-let options_of_mp (mr : P.mp_request) =
-  {
-    Machine.quantum_cycles = mr.P.mp_quantum;
-    kernel = mr.P.mp_kernel;
-    btb_policy =
-      (if mr.P.mp_btb_flush then Machine.Btb_flush else Machine.Btb_shared);
-    drowsy_policy =
-      (if mr.P.mp_drowsy_flush then Machine.Drowsy_flush
-       else Machine.Drowsy_shared);
-    sched = (if mr.P.mp_priority then Machine.Priority else Machine.Round_robin);
-  }
-
 let mp_request (mr : P.mp_request) =
   let* config = P.config_of_mp mr in
   let* mix =
-    try resolve_mix mr
+    try P.resolve_mix mr
     with exn ->
       Error (Printf.sprintf "mix resolution failed: %s" (Printexc.to_string exn))
   in
-  let options = options_of_mp mr in
+  let options = P.options_of_mp mr in
   let run ?reference_only () =
     let r = Machine.run ?reference_only ~config ~options mix in
     Mp
@@ -456,23 +417,7 @@ let mp_request (mr : P.mp_request) =
         | Sim _ | Advise _ -> wrong_kind )
 
 let advise_request t (ar : P.advise_request) =
-  let* geometry =
-    try
-      Ok
-        (Wp_cache.Geometry.make
-           ~size_bytes:(ar.P.ad_size_kb * 1024)
-           ~assoc:ar.P.ad_ways ~line_bytes:ar.P.ad_line_bytes)
-    with Invalid_argument msg -> Error msg
-  in
-  (* the analysed geometry and area, as the config the key is built on;
-     its way-placement scheme selects the placed layout the advisor
-     reads *)
-  let area_bytes = ar.P.ad_area_kb * 1024 in
-  let config =
-    Config.with_icache
-      (Config.xscale (Config.Way_placement { area_bytes }))
-      geometry
-  in
+  let* config = P.config_of_advise ar in
   let* prep, code = prepared t ar.P.ad_benchmark config in
   let key =
     Store.advise_address ~code ~benchmark:ar.P.ad_benchmark
@@ -481,12 +426,7 @@ let advise_request t (ar : P.advise_request) =
   let compute () =
     Advise
       (P.advise_result_of_report ~key ~source:P.Computed
-         (Wp_advise.Advisor.analyze ~benchmark:ar.P.ad_benchmark
-            ~graph:prep.Runner.program.Wp_workloads.Codegen.graph
-            ~profile:prep.Runner.profile_small ~trace:prep.Runner.trace_large
-            ~layout:prep.Runner.placed_layout ~geometry
-            ~page_bytes:ar.P.ad_page_bytes ~area_bytes
-            ~energy:(Config.xscale Config.Baseline).Config.energy ()))
+         (P.analyze_advise prep ar config))
   in
   Ok
     ( { key; no_cache = ar.P.ad_no_cache; compute; reference = None },

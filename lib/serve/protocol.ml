@@ -2,6 +2,8 @@ module Report = Wp_sim.Report
 module Config = Wp_sim.Config
 module Stats = Wp_sim.Stats
 
+let ( let* ) = Result.bind
+
 type endpoint = Unix_socket of string | Tcp of string * int
 
 let endpoint_to_string = function
@@ -180,6 +182,92 @@ let config_of_sim sr =
 let config_of_mp mr =
   config_of_geometry ~scheme:mr.mp_scheme ~size_kb:mr.mp_size_kb
     ~ways:mr.mp_ways ~line_bytes:mr.mp_line_bytes
+
+(* The advisor's input as a config: the analysed geometry and area;
+   its way-placement scheme selects the placed layout the advisor
+   reads. *)
+let config_of_advise ar =
+  let* geometry =
+    try
+      Ok
+        (Wp_cache.Geometry.make
+           ~size_bytes:(ar.ad_size_kb * 1024)
+           ~assoc:ar.ad_ways ~line_bytes:ar.ad_line_bytes)
+    with Invalid_argument msg -> Error msg
+  in
+  let area_bytes = ar.ad_area_kb * 1024 in
+  Ok
+    (Config.with_icache
+       (Config.xscale (Config.Way_placement { area_bytes }))
+       geometry)
+
+(* The advisor run an advise request asks for, on the prepared
+   benchmark and the [config_of_advise] config. *)
+let analyze_advise ?min_run (prep : Wp_sim.Runner.prepared) ar
+    (config : Config.t) =
+  Wp_advise.Advisor.analyze ?min_run ~benchmark:ar.ad_benchmark
+    ~graph:prep.Wp_sim.Runner.program.Wp_workloads.Codegen.graph
+    ~profile:prep.Wp_sim.Runner.profile_small
+    ~trace:prep.Wp_sim.Runner.trace_large
+    ~layout:prep.Wp_sim.Runner.placed_layout ~geometry:config.Config.icache
+    ~page_bytes:ar.ad_page_bytes ~area_bytes:(ar.ad_area_kb * 1024)
+    ~energy:(Config.xscale Config.Baseline).Config.energy ()
+
+(* The wire mix string, resolved to a concrete process list: MiBench
+   names, or "random:SEED" through the fuzzer's deterministic mix
+   generator.  Resolution is cheap (spec lookup / generation only);
+   program generation and tracing happen inside [Machine.run]. *)
+let resolve_mix mr =
+  let s = mr.mp_mix in
+  let* mix =
+    if String.length s > 7 && String.starts_with ~prefix:"random:" s then
+      match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
+      | Some seed -> Ok (Wp_check.Progen.mix_of_seed seed)
+      | None ->
+          Error (Printf.sprintf "bad mix %S: random: needs an integer seed" s)
+    else
+      Wp_mp.Mix.of_names
+        (String.split_on_char ',' s
+        |> List.map String.trim
+        |> List.filter (( <> ) ""))
+  in
+  match mr.mp_coverage with
+  | "mix" -> Ok mix
+  | other ->
+      Result.map
+        (fun c -> Wp_mp.Mix.apply_coverage c mix)
+        (Wp_mp.Mix.coverage_of_string other)
+
+let options_of_mp mr =
+  let module Machine = Wp_mp.Machine in
+  {
+    Machine.quantum_cycles = mr.mp_quantum;
+    kernel = mr.mp_kernel;
+    btb_policy =
+      (if mr.mp_btb_flush then Machine.Btb_flush else Machine.Btb_shared);
+    drowsy_policy =
+      (if mr.mp_drowsy_flush then Machine.Drowsy_flush
+       else Machine.Drowsy_shared);
+    sched = (if mr.mp_priority then Machine.Priority else Machine.Round_robin);
+  }
+
+(* Every scheme name a request may carry: the wire names first, then
+   the long aliases the CLI has always accepted.  Parameterised schemes
+   appear with their defaults (16 KB area, 512 B L0). *)
+let scheme_names =
+  let wp = Config.Way_placement { area_bytes = 16 * 1024 } in
+  let filter = Config.Filter_cache { l0_bytes = 512 } in
+  [
+    ("baseline", Config.Baseline);
+    ("wayplace", wp);
+    ("waymemo", Config.Way_memoization);
+    ("waypred", Config.Way_prediction);
+    ("filter", filter);
+    ("way-placement", wp);
+    ("way-memoization", Config.Way_memoization);
+    ("way-prediction", Config.Way_prediction);
+    ("filter-cache", filter);
+  ]
 
 let scheme_to_string = function
   | Config.Baseline -> "baseline"
@@ -377,8 +465,6 @@ type response = { id : int; reply : reply }
 
 (* --- decoding helpers ----------------------------------------------- *)
 
-let ( let* ) = Result.bind
-
 (* A required typed field: absence and a type mismatch are distinct,
    deliberate error messages — the test battery asserts both. *)
 let field name conv j =
@@ -518,19 +604,17 @@ let request_to_json { id; payload } =
 
 let scheme_of_json j =
   let* scheme_name = field "scheme" Report.to_string j in
-  match scheme_name with
-  | "baseline" -> Ok Config.Baseline
-  | "wayplace" ->
+  match List.assoc_opt scheme_name scheme_names with
+  | Some (Config.Way_placement { area_bytes }) ->
       let* area_bytes =
-        field_default "area_bytes" Report.to_int ~default:(16 * 1024) j
+        field_default "area_bytes" Report.to_int ~default:area_bytes j
       in
       Ok (Config.Way_placement { area_bytes })
-  | "waymemo" -> Ok Config.Way_memoization
-  | "waypred" -> Ok Config.Way_prediction
-  | "filter" ->
-      let* l0_bytes = field_default "l0_bytes" Report.to_int ~default:512 j in
+  | Some (Config.Filter_cache { l0_bytes }) ->
+      let* l0_bytes = field_default "l0_bytes" Report.to_int ~default:l0_bytes j in
       Ok (Config.Filter_cache { l0_bytes })
-  | other -> Error (Printf.sprintf "unknown scheme %S" other)
+  | Some scheme -> Ok scheme
+  | None -> Error (Printf.sprintf "unknown scheme %S" scheme_name)
 
 let sim_of_json j =
   let* benchmark = field "benchmark" Report.to_string j in

@@ -192,6 +192,37 @@ val config_of_geometry :
   (Wp_sim.Config.t, string) result
 (** The building block under both: one grid cell's configuration. *)
 
+val config_of_advise : advise_request -> (Wp_sim.Config.t, string) result
+(** The advisor's input as a way-placement config: the analysed
+    geometry (its [icache]) and area.  Geometry errors are reported as
+    [Error]; the area is the advisor's to check. *)
+
+val analyze_advise :
+  ?min_run:int ->
+  Wp_sim.Runner.prepared ->
+  advise_request ->
+  Wp_sim.Config.t ->
+  Wp_advise.Advisor.t
+(** The static advisor on the request's benchmark (prepared), its
+    {!config_of_advise} geometry, area and page size, with the XScale
+    energy model.  [min_run] is the schedule hysteresis (the advisor's
+    default when absent).
+    @raise Invalid_argument as {!Wp_advise.Advisor.analyze} does. *)
+
+val resolve_mix : mp_request -> (Wp_mp.Mix.t, string) result
+(** The concrete process list an mp request's mix string and coverage
+    describe. *)
+
+val options_of_mp : mp_request -> Wp_mp.Machine.options
+(** The scheduler options an mp request describes. *)
+
+val scheme_names : (string * Wp_sim.Config.scheme) list
+(** Every scheme name a request may carry — the wire names baseline,
+    wayplace, waymemo, waypred and filter, then the aliases
+    way-placement, way-memoization, way-prediction and filter-cache —
+    with the scheme it names at default parameters (16 KB area, 512 B
+    L0).  The wire decoder and the CLI both parse through it. *)
+
 val scheme_to_string : Wp_sim.Config.scheme -> string
 (** The wire name: baseline, wayplace, waymemo, waypred or filter. *)
 

@@ -16,16 +16,26 @@ let csv_field s =
 
 let csv_line fields = String.concat "," (List.map csv_field fields) ^ "\n"
 
-let write_csv ~path ~header ~rows =
+(* [close_out] is inside the match: a full disk often shows only when
+   the buffer is flushed there, and must be an [Error] like any other
+   write failure. *)
+let write_file ~path write =
   match open_out path with
   | exception Sys_error msg -> Error msg
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (csv_line header);
-          List.iter (fun row -> output_string oc (csv_line row)) rows);
-      Ok ()
+  | oc -> (
+      match
+        write oc;
+        close_out oc
+      with
+      | () -> Ok ()
+      | exception Sys_error msg ->
+          close_out_noerr oc;
+          Error msg)
+
+let write_csv ~path ~header ~rows =
+  write_file ~path (fun oc ->
+      output_string oc (csv_line header);
+      List.iter (fun row -> output_string oc (csv_line row)) rows)
 
 (* --- JSON ---------------------------------------------------------- *)
 
@@ -122,15 +132,9 @@ let json_to_string j =
   Buffer.contents buf
 
 let write_json ~path j =
-  match open_out path with
-  | exception Sys_error msg -> Error msg
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (json_to_string j);
-          output_char oc '\n');
-      Ok ()
+  write_file ~path (fun oc ->
+      output_string oc (json_to_string j);
+      output_char oc '\n')
 
 (* --- JSON parser ---------------------------------------------------- *)
 

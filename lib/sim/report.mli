@@ -15,14 +15,19 @@ val csv_field : string -> string
 val csv_line : string list -> string
 (** Escape each field, join with commas, terminate with ["\n"]. *)
 
+val write_file : path:string -> (out_channel -> unit) -> (unit, string) result
+(** Create [path] and fill it through the channel.  Any failure to
+    open, write or flush it (a missing directory, a permission, a full
+    disk) is reported as [Error message] — never an exception — so
+    callers exit cleanly with a diagnostic. *)
+
 val write_csv :
   path:string ->
   header:string list ->
   rows:string list list ->
   (unit, string) result
-(** Write a header plus rows to [path].  An unwritable path (missing
-    directory, permission, ...) is reported as [Error message] — never
-    an exception — so callers exit cleanly with a diagnostic. *)
+(** Write a header plus rows to [path]; errors are reported like
+    {!write_file}. *)
 
 type json =
   | Jnull

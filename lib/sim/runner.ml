@@ -67,10 +67,7 @@ type comparison = {
   norm_cycles : float;
 }
 
-let compare_to_baseline prepared config =
-  let baseline_config = Config.with_scheme config Config.Baseline in
-  let baseline = run_scheme prepared baseline_config in
-  let scheme = run_scheme prepared config in
+let normalise ~baseline scheme =
   {
     baseline;
     scheme;
@@ -89,6 +86,10 @@ let compare_to_baseline prepared config =
         ~scheme:(float_of_int scheme.Stats.cycles)
         ~baseline:(float_of_int baseline.Stats.cycles);
   }
+
+let compare_to_baseline prepared config =
+  let baseline = run_scheme prepared (Config.with_scheme config Config.Baseline) in
+  normalise ~baseline (run_scheme prepared config)
 
 let arithmetic_mean = function
   | [] -> invalid_arg "Runner.arithmetic_mean: empty list"

@@ -70,8 +70,14 @@ type comparison = {
   norm_cycles : float;
 }
 
+val normalise : baseline:Stats.t -> Stats.t -> comparison
+(** Normalise a scheme run against its baseline run: the one place the
+    figure metrics are computed, for single runs, sweep cells and mp
+    aggregates alike.  Pure. *)
+
 val compare_to_baseline : prepared -> Config.t -> comparison
-(** Run the scheme config and an otherwise-identical baseline. *)
+(** Run the scheme config and an otherwise-identical baseline, then
+    {!normalise}. *)
 
 val geometric_mean : float list -> float
 val arithmetic_mean : float list -> float

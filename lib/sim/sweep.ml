@@ -324,6 +324,10 @@ let job_label job =
     (Config.scheme_name job.config.Config.scheme)
     (Wp_cache.Geometry.to_string job.config.Config.icache)
 
+let print_progress job ~seconds ~completed ~total =
+  Printf.eprintf "[sweep %3d/%d] %-48s %6.2fs\n%!" completed total
+    (job_label job) seconds
+
 let dedup jobs =
   let seen = Hashtbl.create (List.length jobs) in
   List.filter

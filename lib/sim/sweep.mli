@@ -136,6 +136,10 @@ val job_label : job -> string
 (** Human-readable ["crc x way-placement(16KB) @ 32KB/32w/32B"] for
     progress lines and logs. *)
 
+val print_progress : progress
+(** The progress line every sweep front end prints on stderr:
+    [[sweep  3/40] <job_label> 0.12s]. *)
+
 val dedup : job list -> job list
 (** Distinct jobs by {!job_key}, first occurrence order preserved. *)
 

@@ -180,6 +180,20 @@ let names = List.map (fun s -> s.Spec.name) all
 
 let find name = List.find (fun s -> s.Spec.name = name) (all @ loops)
 
+let select = function
+  | "all" -> Ok names
+  | list ->
+      List.fold_right
+        (fun name acc ->
+          let name = String.trim name in
+          match (find name, acc) with
+          | exception Not_found ->
+              Error (Printf.sprintf "unknown benchmark %S" name)
+          | _, Ok names -> Ok (name :: names)
+          | _, (Error _ as e) -> e)
+        (String.split_on_char ',' list)
+        (Ok [])
+
 let tiny =
   make ~name:"tiny" ~seed:7 ~funcs:5 ~blocks:(3, 6) ~instrs:(3, 6)
     ~loop_depth:1 ~trips:5 ~hot_frac:0.5 ~large:2_000 ()

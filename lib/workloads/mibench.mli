@@ -25,6 +25,11 @@ val find : string -> Spec.t
 (** Looks up {!all} and {!loops} by name.
     @raise Not_found for an unknown name. *)
 
+val select : string -> (string list, string) result
+(** A benchmark list as the front ends spell it: ["all"] for {!names},
+    or comma-separated names (trimmed; loop variants allowed), each
+    checked with {!find}.  The error names the first unknown one. *)
+
 val tiny : Spec.t
 (** A miniature benchmark for unit tests and the quickstart example:
     runs in milliseconds. *)
