@@ -840,9 +840,11 @@ let advise_csv_arg =
 
 let advise_schedule_arg =
   file_arg "schedule"
-    "Write the oracle resize schedule to this JSON file, in the \
-     [(trace_block_index, area_bytes)] form $(b,timeline --resize) and \
-     [run_with_resizes] consume."
+    "Write the oracle resize schedule to this JSON file: an array of \
+     $(i,{at_block, area_bytes}) objects (trace block index, new area size \
+     in bytes), the form Advisor.schedule_of_json reads back for \
+     Simulator.run_with_resizes.  $(b,timeline --resize) does not read \
+     this file; it takes $(i,IDX:KB) pairs."
 
 let advise_apply_arg =
   let doc =
@@ -1594,7 +1596,8 @@ let cmds =
          ~doc:
            "Run the static placement advisor: interprocedural loop-nest \
             regions with way-pressure bounds, the offline minimal-ways \
-            resize schedule (consumable by $(b,run_with_resizes)), a \
+            resize schedule (written by $(b,--schedule) as JSON for \
+            Simulator.run_with_resizes), a \
             line-conflict verification of the placed layout (PL codes), \
             and the static energy envelope.  $(b,--apply) measures the \
             conflict-graph improved order; $(b,--measured) cross-checks \

@@ -11,7 +11,6 @@ let create ?probe ~l0 () =
     invalid_arg "Filter_cache.create: the L0 must be direct-mapped";
   { l0 = Cam_cache.create ?probe l0 ~replacement:Replacement.Round_robin; probe }
 
-let l0_geometry t = Cam_cache.geometry t.l0
 
 let access t addr =
   let outcome = Cam_cache.lookup_full t.l0 addr in

@@ -22,8 +22,6 @@ val create : ?probe:Wp_obs.Probe.t -> l0:Geometry.t -> unit -> t
     event per access; pure observation.
     @raise Invalid_argument unless the L0 is direct-mapped. *)
 
-val l0_geometry : t -> Geometry.t
-
 val access : t -> Wp_isa.Addr.t -> result
 (** Probe the L0; on a miss the line is refilled into the L0 (the
     caller performs and charges the L1 access). *)

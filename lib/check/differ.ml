@@ -7,10 +7,13 @@ module Tracer = Wp_workloads.Tracer
 module Geometry = Wp_cache.Geometry
 module Replacement = Wp_cache.Replacement
 
-type violation = string
+type violation = { law : string; message : string }
+
+let pp_violation ppf v = Format.fprintf ppf "%s: %s" v.law v.message
 
 type report = {
   seed : int;
+  law : string;
   spec : Spec.t;
   violations : violation list;
   shrunk : Spec.t;
@@ -104,83 +107,108 @@ let replay_baseline_oracle ~geometry ~replacement ~elision ~graph ~layout
   }
 
 (* ------------------------------------------------------------------ *)
-(* Invariant checks.  Each returns violations as strings; [where]
-   prefixes them with the run's label and geometry. *)
+(* What a law looks at.  Each law body returns its findings as bare
+   messages; the fold ([check_spec], at the end) names the law and the
+   run they belong to, and turns an exception into a violation. *)
+
+type program = { spec : Spec.t; prepared : Runner.prepared }
+type grid = { geometry : Geometry.t; results : (string * Stats.t) list Lazy.t }
+type cell = { label : string; config : Config.t; stats : Stats.t }
+
+let graph p = p.prepared.Runner.program.Wp_workloads.Codegen.graph
+let trace p = p.prepared.Runner.trace_large
+
+(* The one accumulator: messages in the order found. *)
+type found = { mutable messages : string list }
+
+let fail found fmt =
+  Printf.ksprintf (fun m -> found.messages <- m :: found.messages) fmt
+
+let collect body =
+  let found = { messages = [] } in
+  body found;
+  List.rev found.messages
+
+let expect found ?(says = "expected") name actual expected =
+  if actual <> expected then
+    fail found "%s = %d, %s %d" name actual says expected
+
+let same_stats ~what a b =
+  if Stats.equal a b then []
+  else [ Format.asprintf "%s: %a" what Stats.pp_diff (a, b) ]
 
 let rel_close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-let check_counters ~where (config : Config.t) (s : Stats.t)
-    (trace : Tracer.trace) =
-  let v = ref [] in
-  let fail fmt = Printf.ksprintf (fun msg -> v := (where ^ ": " ^ msg) :: !v) fmt in
-  let expect name actual expected =
-    if actual <> expected then fail "%s = %d, expected %d" name actual expected
-  in
-  expect "retired_instrs" s.Stats.retired_instrs trace.Tracer.dynamic_instrs;
-  expect "fetches" s.Stats.fetches trace.Tracer.dynamic_instrs;
-  let non_elided = s.Stats.fetches - s.Stats.same_line_fetches in
-  expect "same_line + wp + full + link_follows"
-    (s.Stats.same_line_fetches + s.Stats.wp_fetches + s.Stats.full_fetches
-   + s.Stats.link_follows)
-    s.Stats.fetches;
-  expect "icache_hits + icache_misses"
-    (s.Stats.icache_hits + s.Stats.icache_misses)
-    non_elided;
-  if not config.Config.same_line_elision then
-    expect "same_line_fetches (elision off)" s.Stats.same_line_fetches 0;
-  if s.Stats.cycles < s.Stats.retired_instrs then
-    fail "cycles %d < retired %d" s.Stats.cycles s.Stats.retired_instrs;
-  (match config.Config.scheme with
-  | Config.Baseline ->
-      expect "wp_fetches (baseline)" s.Stats.wp_fetches 0;
-      expect "link_follows (baseline)" s.Stats.link_follows 0;
-      expect "full_fetches (baseline)" s.Stats.full_fetches non_elided;
-      expect "l0 accesses (baseline)" (s.Stats.l0_hits + s.Stats.l0_misses) 0;
-      expect "waypred counters (baseline)"
-        (s.Stats.waypred_correct + s.Stats.waypred_wrong)
-        0
-  | Config.Way_placement _ ->
-      expect "wp_fetches = hint_correct_wp" s.Stats.wp_fetches
-        s.Stats.hint_correct_wp;
-      expect "full = other hint outcomes" s.Stats.full_fetches
-        (s.Stats.hint_correct_normal + s.Stats.hint_missed_saving
-       + s.Stats.hint_reaccess);
-      expect "hint outcomes partition non-elided"
-        (s.Stats.hint_correct_wp + s.Stats.hint_correct_normal
-       + s.Stats.hint_missed_saving + s.Stats.hint_reaccess)
-        non_elided
-  | Config.Way_memoization ->
-      expect "wp_fetches (waymemo)" s.Stats.wp_fetches 0;
-      expect "link_follows + full (waymemo)"
-        (s.Stats.link_follows + s.Stats.full_fetches)
-        non_elided
-  | Config.Way_prediction ->
-      expect "waypred outcomes partition non-elided"
-        (s.Stats.waypred_correct + s.Stats.waypred_wrong)
-        non_elided
+let check_counters p { config; stats = s; _ } =
+  let dynamic_instrs = (trace p).Tracer.dynamic_instrs in
+  collect (fun found ->
+      let expect = expect found in
+      expect "retired_instrs" s.Stats.retired_instrs dynamic_instrs;
+      expect "fetches" s.Stats.fetches dynamic_instrs;
+      let non_elided = s.Stats.fetches - s.Stats.same_line_fetches in
+      expect "same_line + wp + full + link_follows"
+        (s.Stats.same_line_fetches + s.Stats.wp_fetches + s.Stats.full_fetches
+       + s.Stats.link_follows)
+        s.Stats.fetches;
+      expect "icache_hits + icache_misses"
+        (s.Stats.icache_hits + s.Stats.icache_misses)
+        non_elided;
+      if not config.Config.same_line_elision then
+        expect "same_line_fetches (elision off)" s.Stats.same_line_fetches 0;
+      if s.Stats.cycles < s.Stats.retired_instrs then
+        fail found "cycles %d < retired %d" s.Stats.cycles
+          s.Stats.retired_instrs;
+      match config.Config.scheme with
+      | Config.Baseline ->
+          expect "wp_fetches (baseline)" s.Stats.wp_fetches 0;
+          expect "link_follows (baseline)" s.Stats.link_follows 0;
+          expect "full_fetches (baseline)" s.Stats.full_fetches non_elided;
+          expect "l0 accesses (baseline)" (s.Stats.l0_hits + s.Stats.l0_misses) 0;
+          expect "waypred counters (baseline)"
+            (s.Stats.waypred_correct + s.Stats.waypred_wrong)
+            0
+      | Config.Way_placement _ ->
+          expect "wp_fetches = hint_correct_wp" s.Stats.wp_fetches
+            s.Stats.hint_correct_wp;
+          expect "full = other hint outcomes" s.Stats.full_fetches
+            (s.Stats.hint_correct_normal + s.Stats.hint_missed_saving
+           + s.Stats.hint_reaccess);
+          expect "hint outcomes partition non-elided"
+            (s.Stats.hint_correct_wp + s.Stats.hint_correct_normal
+           + s.Stats.hint_missed_saving + s.Stats.hint_reaccess)
+            non_elided
+      | Config.Way_memoization ->
+          expect "wp_fetches (waymemo)" s.Stats.wp_fetches 0;
+          expect "link_follows + full (waymemo)"
+            (s.Stats.link_follows + s.Stats.full_fetches)
+            non_elided
+      | Config.Way_prediction ->
+          expect "waypred outcomes partition non-elided"
+            (s.Stats.waypred_correct + s.Stats.waypred_wrong)
+            non_elided
+      | Config.Filter_cache _ ->
+          expect "l0 outcomes partition non-elided"
+            (s.Stats.l0_hits + s.Stats.l0_misses)
+            non_elided)
+
+(* Some laws hold of baseline runs only; on other cells they find
+   nothing. *)
+let baseline_only check p c =
+  match c.config.Config.scheme with
+  | Config.Baseline -> check p c
+  | Config.Way_placement _ | Config.Way_memoization | Config.Way_prediction
   | Config.Filter_cache _ ->
-      expect "l0 outcomes partition non-elided"
-        (s.Stats.l0_hits + s.Stats.l0_misses)
-        non_elided);
-  !v
+      []
 
 (* Recompute every energy bucket of a baseline run from its counters
    alone and compare with the simulator's account: the accounting can
    then never drift from the events it claims to charge for (PR 1's
    filter-cache bug, caught structurally). *)
-let check_baseline_energy ~where (config : Config.t) (s : Stats.t) =
-  match config.Config.scheme with
-  | Config.Way_placement _ | Config.Way_memoization | Config.Way_prediction
-  | Config.Filter_cache _ ->
-      []
-  | Config.Baseline ->
-      let v = ref [] in
+let check_baseline_energy _ { config; stats = s; _ } =
+  collect (fun found ->
       let expect name actual expected =
         if not (rel_close actual expected) then
-          v :=
-            Printf.sprintf "%s: %s = %.6g pJ, recomputed %.6g pJ" where name
-              actual expected
-            :: !v
+          fail found "%s = %.6g pJ, recomputed %.6g pJ" name actual expected
       in
       let p = config.Config.energy in
       let ie = Wp_energy.Cam_energy.of_geometry p config.Config.icache in
@@ -220,37 +248,25 @@ let check_baseline_energy ~where (config : Config.t) (s : Stats.t) =
         +. (f s.Stats.dcache_misses *. de.Wp_energy.Cam_energy.line_fill_pj));
       expect "core"
         (Wp_energy.Account.core_pj acct)
-        (f s.Stats.cycles *. p.Wp_energy.Params.core_rest_pj_per_cycle);
-      !v
+        (f s.Stats.cycles *. p.Wp_energy.Params.core_rest_pj_per_cycle))
 
-let check_oracle ~where (config : Config.t) (s : Stats.t) ~graph ~layout ~trace =
-  match config.Config.scheme with
-  | Config.Way_placement _ | Config.Way_memoization | Config.Way_prediction
-  | Config.Filter_cache _ ->
-      []
-  | Config.Baseline ->
-      let o =
-        replay_baseline_oracle ~geometry:config.Config.icache
-          ~replacement:config.Config.replacement
-          ~elision:config.Config.same_line_elision ~graph ~layout ~trace
-      in
-      let v = ref [] in
-      let expect name actual expected =
-        if actual <> expected then
-          v :=
-            Printf.sprintf "%s: %s = %d, oracle says %d" where name actual
-              expected
-            :: !v
-      in
+let check_oracle p { config; stats = s; _ } =
+  let o =
+    replay_baseline_oracle ~geometry:config.Config.icache
+      ~replacement:config.Config.replacement
+      ~elision:config.Config.same_line_elision ~graph:(graph p)
+      ~layout:(Runner.layout_for p.prepared config) ~trace:(trace p)
+  in
+  collect (fun found ->
+      let expect = expect found ~says:"oracle says" in
       expect "fetches" s.Stats.fetches o.o_fetches;
       expect "same_line_fetches" s.Stats.same_line_fetches o.o_same_line;
       expect "icache_hits" s.Stats.icache_hits o.o_hits;
       expect "icache_misses" s.Stats.icache_misses o.o_misses;
-      expect "tag_comparisons" s.Stats.tag_comparisons o.o_tag_comparisons;
-      !v
+      expect "tag_comparisons" s.Stats.tag_comparisons o.o_tag_comparisons)
 
 (* Equalities between two runs of the same program. *)
-let expect_same ~where results pairs fields =
+let expect_same results pairs fields =
   List.concat_map
     (fun (la, lb) ->
       match (List.assoc_opt la results, List.assoc_opt lb results) with
@@ -260,8 +276,8 @@ let expect_same ~where results pairs fields =
               if get a = get b then None
               else
                 Some
-                  (Printf.sprintf "%s: %s vs %s: %s %d <> %d" where la lb name
-                     (get a) (get b)))
+                  (Printf.sprintf "%s vs %s: %s %d <> %d" la lb name (get a)
+                     (get b)))
             fields
       | _, _ -> [])
     pairs
@@ -282,19 +298,19 @@ let hit_miss_fields =
     ("icache_misses", fun s -> s.Stats.icache_misses);
   ]
 
-let check_cross ~where results =
-  let labels = List.map fst results in
-  let vs_baseline = List.map (fun l -> ("baseline", l)) labels in
+let check_cross _ grid =
+  let results = Lazy.force grid.results in
+  let vs_baseline = List.map (fun (l, _) -> ("baseline", l)) results in
   (* Execution is layout- and scheme-independent: way-placement (which
      runs the reordered binary) must agree too. *)
-  expect_same ~where results vs_baseline execution_fields
+  expect_same results vs_baseline execution_fields
   (* The pure energy schemes may not change one hit/miss decision.
      Way-memoization qualifies only under round-robin: blind link
      follows skip LRU touches, so its recency state diverges by
      design.  Way-prediction preserves even LRU state (same touches,
      same order).  The filter cache is architecturally different (its
      L1 sees only L0 misses) and is excluded. *)
-  @ expect_same ~where results
+  @ expect_same results
       [
         ("baseline", "waymemo");
         ("baseline", "waymemo-precise");
@@ -348,60 +364,46 @@ let bucket_total acct = function
   | Wp_obs.Probe.Memory -> Wp_energy.Account.memory_pj acct
   | Wp_obs.Probe.Core -> Wp_energy.Account.core_pj acct
 
-let check_probe ~where prepared (config : Config.t) (s : Stats.t) =
+let windows_retired windows =
+  List.fold_left (fun acc (w : Sampler.window) -> acc + w.Sampler.retired) 0
+    windows
+
+let check_probe p { config; stats = s; _ } =
   (* A short window so generated programs still produce several
      windows and boundary handling gets exercised. *)
   let sampler = Sampler.create ~window_cycles:1024 () in
-  match Runner.run_scheme ~probe:(Sampler.probe sampler) prepared config with
-  | exception exn ->
-      [
-        Printf.sprintf "%s: probed run raised: %s" where
-          (Printexc.to_string exn);
-      ]
-  | probed ->
-      let windows = Sampler.finish sampler in
-      let v = ref [] in
-      let fail fmt =
-        Printf.ksprintf (fun msg -> v := (where ^ ": " ^ msg) :: !v) fmt
-      in
-      if not (Stats.equal s probed) then
-        fail "probe changed the stats: %s"
-          (Format.asprintf "%a" Stats.pp_diff (s, probed));
-      let sums = Sampler.sum_counters windows in
-      List.iter
-        (fun c ->
-          match counter_stat probed c with
-          | None -> ()
-          | Some expected ->
-              let actual = sums.(Sampler.Counter.index c) in
-              if actual <> expected then
-                fail "window sum %s = %d, stats say %d"
-                  (Sampler.Counter.name c) actual expected)
-        Sampler.Counter.all;
-      let retired =
-        List.fold_left
-          (fun acc (w : Sampler.window) -> acc + w.Sampler.retired)
-          0 windows
-      in
-      if retired <> probed.Stats.retired_instrs then
-        fail "window retired sum = %d, stats say %d" retired
+  let probed =
+    Runner.run_scheme ~probe:(Sampler.probe sampler) p.prepared config
+  in
+  let windows = Sampler.finish sampler in
+  same_stats ~what:"probe changed the stats" s probed
+  @ collect (fun found ->
+        let expect = expect found ~says:"stats say" in
+        let sums = Sampler.sum_counters windows in
+        List.iter
+          (fun c ->
+            Option.iter
+              (expect
+                 ("window sum " ^ Sampler.Counter.name c)
+                 sums.(Sampler.Counter.index c))
+              (counter_stat probed c))
+          Sampler.Counter.all;
+        expect "window retired sum" (windows_retired windows)
           probed.Stats.retired_instrs;
-      (match List.rev windows with
-      | [] -> fail "sampler produced no windows"
-      | (last : Sampler.window) :: _ ->
-          if last.Sampler.end_cycle <> probed.Stats.cycles then
-            fail "last window ends at cycle %d, stats say %d"
-              last.Sampler.end_cycle probed.Stats.cycles);
-      let cum = Sampler.final_cum_energy windows in
-      List.iter
-        (fun b ->
-          let actual = cum.(Wp_obs.Probe.bucket_index b) in
-          let expected = bucket_total probed.Stats.account b in
-          if not (Float.equal actual expected) then
-            fail "cumulative %s = %.9g pJ, account says %.9g pJ"
-              (Wp_obs.Probe.bucket_name b) actual expected)
-        Wp_obs.Probe.buckets;
-      !v
+        (match List.rev windows with
+        | [] -> fail found "sampler produced no windows"
+        | (last : Sampler.window) :: _ ->
+            expect "last window end_cycle" last.Sampler.end_cycle
+              probed.Stats.cycles);
+        let cum = Sampler.final_cum_energy windows in
+        List.iter
+          (fun b ->
+            let actual = cum.(Wp_obs.Probe.bucket_index b) in
+            let expected = bucket_total probed.Stats.account b in
+            if not (Float.equal actual expected) then
+              fail found "cumulative %s = %.9g pJ, account says %.9g pJ"
+                (Wp_obs.Probe.bucket_name b) actual expected)
+          Wp_obs.Probe.buckets)
 
 (* Window identity: the sampled fast path is fed direct counts, batches
    runs and steps only the runs that could reach a window boundary, yet
@@ -477,15 +479,14 @@ let tight_latencies (config : Config.t) =
     mispredict_penalty = 24;
   }
 
-let check_windows ~where ~seed ?stats prepared (config : Config.t) =
-  let trace = prepared.Runner.trace_large in
-  let compiled = Runner.compiled_for prepared config in
+let check_windows ?stats p (config : Config.t) =
+  let compiled = Runner.compiled_for p.prepared config in
   let schedules =
     ("", [])
     ::
     (match config.Config.scheme with
     | Config.Way_placement _ ->
-        [ (" resized", generated_schedule ~seed trace) ]
+        [ (" resized", generated_schedule ~seed:p.spec.Spec.seed (trace p)) ]
     | Config.Baseline | Config.Way_memoization | Config.Way_prediction
     | Config.Filter_cache _ ->
         [])
@@ -494,9 +495,6 @@ let check_windows ~where ~seed ?stats prepared (config : Config.t) =
     (fun (tag, schedule) ->
       List.concat_map
         (fun window_cycles ->
-          let where =
-            Printf.sprintf "%s windows/%d%s" where window_cycles tag
-          in
           (* The reference side attaches the sampler as a plain probe,
              so its windows are built from one event per access — the
              definition the fast path's direct counts must match. *)
@@ -505,39 +503,26 @@ let check_windows ~where ~seed ?stats prepared (config : Config.t) =
             let stats =
               if reference then
                 Wp_sim.Simulator.run_compiled ~probe:(Sampler.probe sampler)
-                  ~schedule ~config ~trace compiled
+                  ~schedule ~config ~trace:(trace p) compiled
               else
                 Wp_sim.Simulator.run_compiled ~sampler ~schedule ~config
-                  ~trace compiled
+                  ~trace:(trace p) compiled
             in
             (stats, Sampler.finish sampler)
           in
-          match (run ~reference:false, run ~reference:true) with
-          | exception exn ->
-              [
-                Printf.sprintf "%s: sampled run raised: %s" where
-                  (Printexc.to_string exn);
-              ]
-          | (fast, fast_windows), (reference, reference_windows) ->
-              let fail msg = where ^ ": " ^ msg in
-              (if Stats.equal fast reference then []
-               else
-                 [
-                   fail
-                     ("sampled fast path diverges from sampled reference: "
-                     ^ Format.asprintf "%a" Stats.pp_diff (fast, reference));
-                 ])
-              @ (match stats with
-                | Some s when schedule = [] && not (Stats.equal s fast) ->
-                    [
-                      fail
-                        ("sampler changed the fast path's stats: "
-                        ^ Format.asprintf "%a" Stats.pp_diff (s, fast));
-                    ]
-                | Some _ | None -> [])
-              @ List.map fail
-                  (compare_windows ~fast:fast_windows
-                     ~reference:reference_windows))
+          let reference, reference_windows = run ~reference:true in
+          let fast, fast_windows = run ~reference:false in
+          List.map
+            (Printf.sprintf "windows/%d%s: %s" window_cycles tag)
+            (same_stats
+               ~what:"sampled fast path diverges from sampled reference" fast
+               reference
+            @ (match stats with
+              | Some s when schedule = [] ->
+                  same_stats ~what:"sampler changed the fast path's stats" s
+                    fast
+              | Some _ | None -> [])
+            @ compare_windows ~fast:fast_windows ~reference:reference_windows))
         window_sizes)
     schedules
 
@@ -565,102 +550,42 @@ let check_windows ~where ~seed ?stats prepared (config : Config.t) =
    cross-world hits impossible — that, too, is under test here. *)
 let fastpath_cache = Wp_sim.Snapshot_cache.create ()
 
-let check_fastpath ~where prepared (config : Config.t) (fast : Stats.t) =
-  let trace = prepared.Runner.trace_large in
-  let compiled = Runner.compiled_for prepared config in
-  let cached_ff =
-    match
-      Wp_sim.Simulator.run_compiled ~fastforward:true
-        ~snapshot_cache:fastpath_cache ~config ~trace compiled
-    with
-    | exception exn ->
-        [
-          Printf.sprintf "%s: fast-forward run with snapshot cache raised: %s"
-            where (Printexc.to_string exn);
-        ]
-    | cached ->
-        if Stats.equal fast cached then []
-        else
-          [
-            Printf.sprintf
-              "%s: snapshot-cache reuse diverges from plain fast-forward: %s"
-              where
-              (Format.asprintf "%a" Stats.pp_diff (fast, cached));
-          ]
+let check_fastpath p { config; stats = fast; _ } =
+  let compiled = Runner.compiled_for p.prepared config in
+  let run ?snapshot_cache ?fastforward ?reference_only config =
+    Wp_sim.Simulator.run_compiled ?snapshot_cache ?fastforward ?reference_only
+      ~config ~trace:(trace p) compiled
   in
-  let no_ff =
-    match
-      Wp_sim.Simulator.run_compiled ~fastforward:false ~config ~trace compiled
-    with
-    | exception exn ->
-        [
-          Printf.sprintf "%s: fast run (no fast-forward) raised: %s" where
-            (Printexc.to_string exn);
-        ]
-    | plain ->
-        if Stats.equal fast plain then []
-        else
-          [
-            Printf.sprintf
-              "%s: fast-forward diverges from plain fast path: %s" where
-              (Format.asprintf "%a" Stats.pp_diff (fast, plain));
-          ]
+  let cached =
+    run ~fastforward:true ~snapshot_cache:fastpath_cache config
   in
-  let vs_reference =
-    match
-      Wp_sim.Simulator.run_compiled ~reference_only:true ~config ~trace
-        compiled
-    with
-    | exception exn ->
-        [
-          Printf.sprintf "%s: reference run raised: %s" where
-            (Printexc.to_string exn);
-        ]
-    | reference ->
-        if Stats.equal fast reference then []
-        else
-          [
-            Printf.sprintf "%s: fast path diverges from reference: %s" where
-              (Format.asprintf "%a" Stats.pp_diff (fast, reference));
-          ]
+  let plain = run ~fastforward:false config in
+  let reference = run ~reference_only:true config in
+  let dside =
+    {
+      config with
+      dcache = Geometry.make ~size_bytes:1024 ~assoc:4 ~line_bytes:16;
+      dtlb_entries = 4;
+    }
   in
-  let dside_variant =
-    let config =
-      {
-        config with
-        dcache = Geometry.make ~size_bytes:1024 ~assoc:4 ~line_bytes:16;
-        dtlb_entries = 4;
-      }
-    in
-    match
-      ( Wp_sim.Simulator.run_compiled ~reference_only:true ~config ~trace
-          compiled,
-        List.map
-          (fun fastforward ->
-            ( fastforward,
-              Wp_sim.Simulator.run_compiled ~fastforward ~config ~trace
-                compiled ))
-          [ false; true ] )
-    with
-    | exception exn ->
-        [
-          Printf.sprintf "%s: D-side variant raised: %s" where
-            (Printexc.to_string exn);
-        ]
-    | reference, runs ->
-        List.filter_map
-          (fun (fastforward, variant) ->
-            if Stats.equal variant reference then None
-            else
-              Some
-                (Printf.sprintf
-                   "%s: D-side variant (fast-forward %b) diverges from its \
-                    reference: %s"
-                   where fastforward
-                   (Format.asprintf "%a" Stats.pp_diff (variant, reference))))
-          runs
+  let dside_reference = run ~reference_only:true dside in
+  let dside_fast =
+    List.map (fun fastforward -> (fastforward, run ~fastforward dside))
+      [ false; true ]
   in
-  cached_ff @ no_ff @ vs_reference @ dside_variant
+  same_stats ~what:"snapshot-cache reuse diverges from plain fast-forward"
+    fast cached
+  @ same_stats ~what:"fast-forward diverges from plain fast path" fast plain
+  @ same_stats ~what:"fast path diverges from reference" fast reference
+  @ List.concat_map
+      (fun (fastforward, variant) ->
+        same_stats
+          ~what:
+            (Printf.sprintf
+               "D-side variant (fast-forward %b) diverges from its reference"
+               fastforward)
+          variant dside_reference)
+      dside_fast
 
 (* ------------------------------------------------------------------ *)
 (* Multiprogramming checks (PR 8).  Two laws tie the mp machine to the
@@ -701,135 +626,77 @@ let mp_partner_spec =
     trace_blocks_small = 60;
   }
 
-let check_mp_identity ~where spec (config : Config.t) (cell : Stats.t) =
+let check_mp_identity p { config; stats = cell; _ } =
   List.concat_map
     (fun (path, reference_only) ->
-      match
+      let r =
         Mp.run ~reference_only ~config ~options:Mp.oracle_options
-          (Mix.of_specs [ spec ])
-      with
-      | exception exn ->
-          [
-            Printf.sprintf "%s: mp identity run (%s) raised: %s" where path
-              (Printexc.to_string exn);
-          ]
-      | r ->
-          if Stats.equal r.Mp.aggregate cell then []
-          else
-            [
-              Printf.sprintf
-                "%s: mp infinite-quantum single-process run (%s) diverges \
-                 from Simulator.run: %s"
-                where path
-                (Format.asprintf "%a" Stats.pp_diff (r.Mp.aggregate, cell));
-            ])
+          (Mix.of_specs [ p.spec ])
+      in
+      same_stats
+        ~what:
+          (Printf.sprintf
+             "mp infinite-quantum single-process run (%s) diverges from \
+              Simulator.run"
+             path)
+        r.Mp.aggregate cell)
     [ ("fast path", false); ("reference path", true) ]
 
-let mp_int_conservation ~where r =
-  if Mp.conserves r then []
+(* Two mp runs of one mix agree in aggregate, on every process and on
+   the switches taken. *)
+let same_mp ~what (a : Mp.result) (b : Mp.result) =
+  same_stats ~what a.Mp.aggregate b.Mp.aggregate
+  @ List.concat
+      (List.map2
+         (fun (pa : Mp.process_result) (pb : Mp.process_result) ->
+           same_stats
+             ~what:(Printf.sprintf "%s on process %s" what pa.Mp.pr_name)
+             pa.Mp.pr_stats pb.Mp.pr_stats)
+         a.Mp.processes b.Mp.processes)
+  @
+  if a.Mp.switches = b.Mp.switches then []
   else
-    [
-      Printf.sprintf
-        "%s: per-process + system counters do not sum to the mp aggregate"
-        where;
-    ]
+    [ Printf.sprintf "%s: %d switches, not %d" what a.Mp.switches b.Mp.switches ]
 
-let check_mp_mix ~where spec (config : Config.t) =
-  let mix = Mix.of_specs ~coverage:Mix.Half_placed [ spec; mp_partner_spec ] in
+let check_mp_mix p { config; _ } =
+  let mix =
+    Mix.of_specs ~coverage:Mix.Half_placed [ p.spec; mp_partner_spec ]
+  in
   let options = { Mp.default_options with Mp.quantum_cycles = 4_000 } in
-  match Mp.run ~config ~options mix with
-  | exception exn ->
-      [
-        Printf.sprintf "%s: mp fast run raised: %s" where
-          (Printexc.to_string exn);
-      ]
-  | fast -> (
-      match Mp.run ~reference_only:true ~config ~options mix with
-      | exception exn ->
-          [
-            Printf.sprintf "%s: mp reference run raised: %s" where
-              (Printexc.to_string exn);
-          ]
-      | refr ->
-          let v = ref [] in
-          let fail fmt =
-            Printf.ksprintf (fun msg -> v := (where ^ ": " ^ msg) :: !v) fmt
-          in
-          if not (Stats.equal fast.Mp.aggregate refr.Mp.aggregate) then
-            fail "mp fast path diverges from mp reference: %s"
-              (Format.asprintf "%a" Stats.pp_diff
-                 (fast.Mp.aggregate, refr.Mp.aggregate));
-          List.iteri
-            (fun i (pf : Mp.process_result) ->
-              let pr = List.nth refr.Mp.processes i in
-              if not (Stats.equal pf.Mp.pr_stats pr.Mp.pr_stats) then
-                fail "mp fast path diverges from reference on process %d (%s)"
-                  i pf.Mp.pr_name)
-            fast.Mp.processes;
-          if fast.Mp.switches <> refr.Mp.switches then
-            fail "mp fast path saw %d switches, reference %d" fast.Mp.switches
-              refr.Mp.switches;
-          (* cache invariance: re-running with the corpus-wide snapshot
-             cache attached (quantum-capped skips, cross-quantum
-             re-convergence) must not move a bit, per process or in
-             aggregate, and must take every switch at the same point. *)
-          (match
-             Mp.run
-               ~snapshot_cache:fastpath_cache
-               ~config ~options mix
-           with
-          | exception exn ->
-              fail "mp snapshot-cache run raised: %s" (Printexc.to_string exn)
-          | cached ->
-              if not (Stats.equal cached.Mp.aggregate fast.Mp.aggregate) then
-                fail "snapshot cache changed the mp aggregate: %s"
-                  (Format.asprintf "%a" Stats.pp_diff
-                     (cached.Mp.aggregate, fast.Mp.aggregate));
-              List.iteri
-                (fun i (pc : Mp.process_result) ->
-                  let pf = List.nth fast.Mp.processes i in
-                  if not (Stats.equal pc.Mp.pr_stats pf.Mp.pr_stats) then
-                    fail
-                      "snapshot cache changed mp process %d (%s)" i
-                      pc.Mp.pr_name)
-                cached.Mp.processes;
-              if cached.Mp.switches <> fast.Mp.switches then
-                fail "mp snapshot-cache run saw %d switches, plain saw %d"
-                  cached.Mp.switches fast.Mp.switches);
-          (* probe invariance: a probed replay (which also forces the
-             reference loop) must not move a single bit, and its switch
-             markers must recount the machine's switches. *)
-          let sampler = Sampler.create ~window_cycles:1024 () in
-          (match Mp.run ~probe:(Sampler.probe sampler) ~config ~options mix with
-          | exception exn -> fail "probed mp run raised: %s" (Printexc.to_string exn)
-          | probed ->
-              let windows = Sampler.finish sampler in
-              if not (Stats.equal probed.Mp.aggregate fast.Mp.aggregate) then
-                fail "probe changed the mp aggregate: %s"
-                  (Format.asprintf "%a" Stats.pp_diff
-                     (probed.Mp.aggregate, fast.Mp.aggregate));
-              let marker_switches =
-                List.fold_left
-                  (fun acc (w : Sampler.window) ->
-                    acc
-                    + List.length
-                        (List.filter
-                           (function Sampler.Switch _ -> true | _ -> false)
-                           w.Sampler.markers))
-                  0 windows
-              in
-              if marker_switches <> probed.Mp.switches then
-                fail "sampler saw %d switch markers, machine reports %d"
-                  marker_switches probed.Mp.switches;
-              let retired =
-                List.fold_left
-                  (fun acc (w : Sampler.window) -> acc + w.Sampler.retired)
-                  0 windows
-              in
-              if retired <> probed.Mp.aggregate.Stats.retired_instrs then
-                fail "mp window retired sum = %d, aggregate says %d" retired
-                  probed.Mp.aggregate.Stats.retired_instrs);
-          !v @ mp_int_conservation ~where fast)
+  let fast = Mp.run ~config ~options mix in
+  let refr = Mp.run ~reference_only:true ~config ~options mix in
+  (* cache invariance: re-running with the corpus-wide snapshot cache
+     attached (quantum-capped skips, cross-quantum re-convergence) must
+     not move a bit, per process or in aggregate, and must take every
+     switch at the same point. *)
+  let cached = Mp.run ~snapshot_cache:fastpath_cache ~config ~options mix in
+  (* probe invariance: a probed replay (which also forces the reference
+     loop) must not move a single bit, and its switch markers must
+     recount the machine's switches. *)
+  let sampler = Sampler.create ~window_cycles:1024 () in
+  let probed = Mp.run ~probe:(Sampler.probe sampler) ~config ~options mix in
+  let windows = Sampler.finish sampler in
+  let switch_markers =
+    List.fold_left
+      (fun acc (w : Sampler.window) ->
+        acc
+        + List.length
+            (List.filter
+               (function Sampler.Switch _ -> true | _ -> false)
+               w.Sampler.markers))
+      0 windows
+  in
+  same_mp ~what:"mp fast path diverges from mp reference" fast refr
+  @ same_mp ~what:"snapshot cache changed the mp run" cached fast
+  @ same_mp ~what:"probe changed the mp run" probed fast
+  @ collect (fun found ->
+        expect found ~says:"machine reports" "sampler switch markers"
+          switch_markers probed.Mp.switches;
+        expect found ~says:"aggregate says" "mp window retired sum"
+          (windows_retired windows) probed.Mp.aggregate.Stats.retired_instrs;
+        if not (Mp.conserves fast) then
+          fail found
+            "per-process + system counters do not sum to the mp aggregate")
 
 (* ------------------------------------------------------------------ *)
 (* Static-analysis cross-checks (PR 4): a generator that emits an
@@ -837,32 +704,24 @@ let check_mp_mix ~where spec (config : Config.t) =
    classification must agree with the simulated probe stream on every
    program the fuzzer produces. *)
 
-let check_lint ~where graph layout =
-  match Wp_lint.Wf_lint.check graph layout with
-  | exception exn ->
-      [ Printf.sprintf "%s: lint raised: %s" where (Printexc.to_string exn) ]
-  | findings ->
-      List.map
-        (fun f -> Printf.sprintf "%s: %s" where (Format.asprintf "%a" Wp_lint.Finding.pp f))
-        (Wp_lint.Finding.errors findings)
+let finding_text = Format.asprintf "%a" Wp_lint.Finding.pp
+let errors findings = List.map finding_text (Wp_lint.Finding.errors findings)
+let check_lint layout p = errors (Wp_lint.Wf_lint.check (graph p) layout)
 
-let check_contract ~where graph layout params =
-  match Wp_lint.Contract.check graph layout params with
-  | exception exn ->
-      [ Printf.sprintf "%s: contract check raised: %s" where (Printexc.to_string exn) ]
-  | findings ->
-      List.map
-        (fun f -> Printf.sprintf "%s: %s" where (Format.asprintf "%a" Wp_lint.Finding.pp f))
-        (Wp_lint.Finding.errors findings)
+let check_soundness layout p grid =
+  (Wp_lint.Soundness.check ~geometry:grid.geometry
+     ~program:p.prepared.Runner.program ~layout ~trace:(trace p) ())
+    .Wp_lint.Soundness.violations
 
-let check_soundness ~where ~geometry ~program ~layout ~trace =
-  match Wp_lint.Soundness.check ~geometry ~program ~layout ~trace () with
-  | exception exn ->
-      [
-        Printf.sprintf "%s: soundness check raised: %s" where
-          (Printexc.to_string exn);
-      ]
-  | r -> List.map (fun v -> where ^ ": " ^ v) r.Wp_lint.Soundness.violations
+let check_contract p grid =
+  errors
+    (Wp_lint.Contract.check (graph p) p.prepared.Runner.placed_layout
+       {
+         Wp_lint.Contract.geometry = grid.geometry;
+         page_bytes = 1024;
+         area_bytes = 2048;
+         code_base = Wp_sim.Simulator.code_base;
+       })
 
 (* The PR 8 kernel is one fixed image; its reserved-area contract and
    the user layout's disjointness from it are checked once per process
@@ -879,164 +738,186 @@ let kernel =
             memo := Some k;
             k)
 
-let check_reserved ~where graph user_layout =
-  match kernel () with
-  | exception exn ->
-      [
-        Printf.sprintf "%s: kernel prepare raised: %s" where
-          (Printexc.to_string exn);
-      ]
-  | kernel ->
-      let findings =
-        Wp_lint.Contract.check_reserved kernel.Wp_mp.Kernel.program.Wp_workloads.Codegen.graph
-          kernel.Wp_mp.Kernel.layout ~kernel_base:Wp_mp.Kernel.base
-          ~kernel_area_bytes:kernel.Wp_mp.Kernel.area_bytes ~role:`Kernel
-        @ Wp_lint.Contract.check_reserved graph user_layout
-            ~kernel_base:Wp_mp.Kernel.base
-            ~kernel_area_bytes:kernel.Wp_mp.Kernel.area_bytes ~role:`User
-      in
-      List.map
-        (fun f ->
-          Printf.sprintf "%s: %s" where
-            (Format.asprintf "%a" Wp_lint.Finding.pp f))
-        findings
+let check_reserved p _ =
+  let kernel = kernel () in
+  List.map finding_text
+    (Wp_lint.Contract.check_reserved
+       kernel.Wp_mp.Kernel.program.Wp_workloads.Codegen.graph
+       kernel.Wp_mp.Kernel.layout ~kernel_base:Wp_mp.Kernel.base
+       ~kernel_area_bytes:kernel.Wp_mp.Kernel.area_bytes ~role:`Kernel
+    @ Wp_lint.Contract.check_reserved (graph p) p.prepared.Runner.placed_layout
+        ~kernel_base:Wp_mp.Kernel.base
+        ~kernel_area_bytes:kernel.Wp_mp.Kernel.area_bytes ~role:`User)
 
 (* The static placement advisor's laws (region bounds, PL001
    reproduction, schedule inside the energy envelope) on the placed
    layout.  Failure strings name the offending region so shrunk differ
    reports stay actionable. *)
-let check_advise ~where ~geometry ~page_bytes ~area_bytes prepared =
-  Wp_advise.Laws.check ~where ~geometry ~page_bytes ~area_bytes
-    ~program:prepared.Runner.program ~profile:prepared.Runner.profile_small
-    ~trace:prepared.Runner.trace_large ~layout:prepared.Runner.placed_layout
-    ()
+let check_advise p grid =
+  Wp_advise.Laws.check ~where:"placed" ~geometry:grid.geometry ~page_bytes:1024
+    ~area_bytes:2048 ~program:p.prepared.Runner.program
+    ~profile:p.prepared.Runner.profile_small ~trace:(trace p)
+    ~layout:p.prepared.Runner.placed_layout ()
 
 (* ------------------------------------------------------------------ *)
+(* The law table, and the one fold that runs it. *)
 
-let check_spec ?(geometries = default_geometries) spec =
+type check =
+  | Per_spec of (program -> string list)
+  | Per_geometry of (program -> grid -> string list)
+  | Per_cell of (program -> cell -> string list)
+
+type law = {
+  name : string;
+  applies : first_geometry:bool -> label:string -> bool;
+  check : check;
+}
+
+let always ~first_geometry:_ ~label:_ = true
+let first_geometry_only ~first_geometry ~label:_ = first_geometry
+
+let first_baseline_or_wayplace ~first_geometry ~label =
+  first_geometry && (label = "baseline" || label = "wayplace")
+
+let laws =
+  let spec name f = { name; applies = always; check = Per_spec f } in
+  let geometry ?(applies = always) name f =
+    { name; applies; check = Per_geometry f }
+  in
+  let cell ?(applies = always) name f = { name; applies; check = Per_cell f } in
+  [
+    spec "lint-original" (fun p ->
+        check_lint p.prepared.Runner.original_layout p);
+    spec "lint-placed" (fun p -> check_lint p.prepared.Runner.placed_layout p);
+    cell "counters" check_counters;
+    cell "fastpath" check_fastpath;
+    cell "baseline-energy" (baseline_only check_baseline_energy);
+    cell "oracle" (baseline_only check_oracle);
+    (* a probed rerun doubles the cell's cost: first geometry only *)
+    cell "probe" ~applies:first_geometry_only check_probe;
+    cell "windows" ~applies:first_geometry_only (fun p c ->
+        check_windows ~stats:c.stats p c.config);
+    cell "windows-tight" ~applies:first_baseline_or_wayplace (fun p c ->
+        check_windows p (tight_latencies c.config));
+    (* the mp identity oracle runs both mp paths; the full time-sliced
+       agreement costs four more mp runs: baseline and wayplace only *)
+    cell "mp-identity" ~applies:first_geometry_only check_mp_identity;
+    cell "mp-mix" ~applies:first_baseline_or_wayplace check_mp_mix;
+    geometry "cross" check_cross;
+    (* static-vs-dynamic: the must/may classification against the probe
+       stream on the original layout, and on the placed layout (plus the
+       placement contract) for the first geometry *)
+    geometry "soundness" (fun p ->
+        check_soundness p.prepared.Runner.original_layout p);
+    geometry "soundness-placed" ~applies:first_geometry_only
+      (fun p -> check_soundness p.prepared.Runner.placed_layout p);
+    geometry "contract" ~applies:first_geometry_only check_contract;
+    geometry "reserved" ~applies:first_geometry_only check_reserved;
+    geometry "advise" ~applies:first_geometry_only check_advise;
+  ]
+
+let raised law where exn : violation =
+  { law; message = where ^ ": raised: " ^ Printexc.to_string exn }
+
+(* The only place an exception from a check is caught. *)
+let run_check law ~where f =
+  match f () with
+  | messages ->
+      List.map
+        (fun m : violation -> { law = law.name; message = where ^ ": " ^ m })
+        messages
+  | exception exn -> [ raised law.name where exn ]
+
+let check_spec ?(geometries = default_geometries) ?law spec =
+  let selected name = Option.fold ~none:true ~some:(String.equal name) law in
+  let laws = List.filter (fun l -> selected l.name) laws in
   match Runner.prepare spec with
-  | exception exn ->
-      [ Printf.sprintf "prepare raised: %s" (Printexc.to_string exn) ]
+  | exception exn -> [ raised "prepare" spec.Spec.name exn ]
   | prepared ->
-      let graph = prepared.Runner.program.Wp_workloads.Codegen.graph in
-      let trace = prepared.Runner.trace_large in
-      check_lint ~where:"lint original" graph prepared.Runner.original_layout
-      @ check_lint ~where:"lint placed" graph prepared.Runner.placed_layout
-      @ List.concat
-        (List.mapi
-           (fun i geometry ->
-             let gname = Geometry.to_string geometry in
-             let runs = configs_for ~ablations:(i = 0) geometry in
-             let results =
-               List.filter_map
-                 (fun (label, config) ->
-                   match Runner.run_scheme prepared config with
-                   | stats -> Some (label, Ok (config, stats))
-                   | exception exn -> Some (label, Error exn))
-                 runs
-             in
-             let raised =
-               List.filter_map
-                 (fun (label, r) ->
-                   match r with
-                   | Error exn ->
-                       Some
-                         (Printf.sprintf "%s @ %s: simulator raised: %s" label
-                            gname (Printexc.to_string exn))
-                   | Ok _ -> None)
-                 results
-             in
-             let ok =
-               List.filter_map
-                 (fun (label, r) ->
-                   match r with
-                   | Ok (config, stats) -> Some (label, (config, stats))
-                   | Error _ -> None)
-                 results
-             in
-             let stats_only = List.map (fun (l, (_, s)) -> (l, s)) ok in
-             raised
-             @ List.concat_map
-                 (fun (label, (config, stats)) ->
-                   let where = Printf.sprintf "%s @ %s" label gname in
-                   let layout =
-                     match config.Config.scheme with
-                     | Config.Way_placement _ -> prepared.Runner.placed_layout
-                     | _ -> prepared.Runner.original_layout
-                   in
-                   check_counters ~where config stats trace
-                   @ check_fastpath ~where prepared config stats
-                   @ check_baseline_energy ~where config stats
-                   @ check_oracle ~where config stats ~graph ~layout ~trace
-                   (* probed rerun doubles the cell's cost: first
-                      geometry only *)
-                   @ (if i = 0 then
-                        check_probe ~where prepared config stats
-                        @ check_windows ~where ~seed:spec.Spec.seed ~stats
-                            prepared config
-                        @
-                        if label = "baseline" || label = "wayplace" then
-                          check_windows ~where:(where ^ " tight")
-                            ~seed:spec.Spec.seed prepared
-                            (tight_latencies config)
-                        else []
-                      else [])
-                   (* the mp identity oracle holds for every cell, on
-                      both mp paths; the
-                      full time-sliced agreement (fast = reference =
-                      probed, conservation) costs three extra mp runs,
-                      so first geometry, baseline + wayplace only *)
-                   @ (if i = 0 then
-                        check_mp_identity ~where:(where ^ " mp") spec config
-                          stats
-                        @ (if label = "baseline" || label = "wayplace" then
-                             check_mp_mix ~where:(where ^ " mp-mix") spec
-                               config
-                           else [])
-                      else []))
-                 ok
-             @ check_cross ~where:gname stats_only
-             (* static-vs-dynamic: the must/may classification against
-                the probe stream, on the original layout each geometry
-                and additionally on the placed layout (plus the
-                placement contract) for the first one *)
-             @ check_soundness
-                 ~where:(Printf.sprintf "soundness @ %s" gname)
-                 ~geometry ~program:prepared.Runner.program
-                 ~layout:prepared.Runner.original_layout ~trace
-             @ (if i = 0 then
-                  check_soundness
-                    ~where:(Printf.sprintf "soundness placed @ %s" gname)
-                    ~geometry ~program:prepared.Runner.program
-                    ~layout:prepared.Runner.placed_layout ~trace
-                  @ check_contract
-                      ~where:(Printf.sprintf "contract placed @ %s" gname)
-                      graph prepared.Runner.placed_layout
-                      {
-                        Wp_lint.Contract.geometry;
-                        page_bytes = 1024;
-                        area_bytes = 2048;
-                        code_base = Wp_sim.Simulator.code_base;
-                      }
-                  @ check_reserved
-                      ~where:(Printf.sprintf "reserved placed @ %s" gname)
-                      graph prepared.Runner.placed_layout
-                  @ check_advise
-                      ~where:(Printf.sprintf "advise placed @ %s" gname)
-                      ~geometry ~page_bytes:1024 ~area_bytes:2048 prepared
-                else []))
-           geometries)
+      let p = { spec; prepared } in
+      let spec_violations =
+        List.concat_map
+          (fun l ->
+            match l.check with
+            | Per_spec f -> run_check l ~where:spec.Spec.name (fun () -> f p)
+            | Per_geometry _ | Per_cell _ -> [])
+          laws
+      in
+      let geometry_violations i geometry =
+        let first_geometry = i = 0 and gname = Geometry.to_string geometry in
+        (* a cell runs when a selected law needs it *)
+        let cells =
+          List.map
+            (fun (label, config) ->
+              (label, config, lazy (Runner.run_scheme prepared config)))
+            (configs_for ~ablations:first_geometry geometry)
+        in
+        let cell_violations (label, config, stats) =
+          let where = Printf.sprintf "%s @ %s" label gname in
+          let checks =
+            List.filter_map
+              (fun l ->
+                match l.check with
+                | Per_cell f when l.applies ~first_geometry ~label ->
+                    Some (l, f)
+                | Per_cell _ | Per_spec _ | Per_geometry _ -> None)
+              laws
+          in
+          if List.is_empty checks && not (selected "run") then []
+          else
+            match Lazy.force stats with
+            | exception exn -> [ raised "run" where exn ]
+            | stats ->
+                List.concat_map
+                  (fun (l, f) ->
+                    run_check l ~where (fun () -> f p { label; config; stats }))
+                  checks
+        in
+        let by_cell = List.concat_map cell_violations cells in
+        let grid =
+          {
+            geometry;
+            results =
+              lazy
+                (List.filter_map
+                   (fun (label, _, stats) ->
+                     match Lazy.force stats with
+                     | s -> Some (label, s)
+                     | exception _ -> None)
+                   cells);
+          }
+        in
+        by_cell
+        @ List.concat_map
+            (fun l ->
+              match l.check with
+              | Per_geometry f when l.applies ~first_geometry ~label:"" ->
+                  run_check l ~where:gname (fun () -> f p grid)
+              | Per_geometry _ | Per_spec _ | Per_cell _ -> [])
+            laws
+      in
+      spec_violations @ List.concat (List.mapi geometry_violations geometries)
 
 let check_seed ?geometries seed = check_spec ?geometries (Progen.spec_of_seed seed)
 
-let run_seed ?(check = fun spec -> check_spec spec) seed =
+let run_seed ?(check = fun ?law spec -> check_spec ?law spec) seed =
   let spec = Progen.spec_of_seed seed in
   match check spec with
   | [] -> None
-  | violations ->
-      let failing s = check s <> [] in
-      let shrunk = Progen.minimize ~failing spec in
-      Some { seed; spec; violations; shrunk; shrunk_violations = check shrunk }
+  | ({ law; _ } : violation) :: _ as violations ->
+      let on_law s =
+        List.filter (fun (v : violation) -> v.law = law) (check ~law s)
+      in
+      let shrunk = Progen.minimize ~failing:(fun s -> on_law s <> []) spec in
+      Some
+        {
+          seed;
+          law;
+          spec;
+          violations;
+          shrunk;
+          shrunk_violations = on_law shrunk;
+        }
 
 let fuzz ?workers ?progress ~seed ~count () =
   let workers =
@@ -1045,18 +926,17 @@ let fuzz ?workers ?progress ~seed ~count () =
   let seeds = List.init count (fun i -> seed + i) in
   List.filter_map Fun.id (Sweep.Pool.map ~workers ?progress run_seed seeds)
 
-let pp_list ppf = function
+let pp_violations ppf = function
   | [] -> Format.fprintf ppf "  (none)@,"
-  | vs ->
-      List.iter (fun v -> Format.fprintf ppf "  - %s@," v) vs
+  | vs -> List.iter (Format.fprintf ppf "  - %a@," pp_violation) vs
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "@[<v>fuzz failure at seed %d (reproduce: wayplace_cli fuzz --seed %d \
-     --count 1)@,original program: %a@,violations (%d):@,%a\
-     shrunk program: %a@,violations on shrunk program (%d):@,%a@]"
-    r.seed r.seed Spec.pp r.spec
+    "@[<v>fuzz failure at seed %d, law %s (reproduce: wayplace_cli fuzz \
+     --seed %d --count 1)@,original program: %a@,violations (%d):@,%a\
+     shrunk program: %a@,violations of %s on shrunk program (%d):@,%a@]"
+    r.seed r.law r.seed Spec.pp r.spec
     (List.length r.violations)
-    pp_list r.violations Spec.pp r.shrunk
+    pp_violations r.violations Spec.pp r.shrunk r.law
     (List.length r.shrunk_violations)
-    pp_list r.shrunk_violations
+    pp_violations r.shrunk_violations

@@ -7,64 +7,77 @@
     execute or (for the non-filter schemes) which accesses hit.  This
     module makes that executable.  For one generated program it runs
     the whole scheme x geometry grid through {!Wp_sim.Runner} and
-    checks:
+    checks the laws of one table, {!laws}, by name:
 
-    - {b oracle equality} — every baseline run's fetch stream is
-      replayed through {!Oracle_cache}; fetches, same-line elisions,
-      hits, misses and tag comparisons must match exactly (both
-      replacement policies, elision on and off);
-    - {b conservation laws} — fetches partition into same-line +
-      way-placed + full + link-follows; hits + misses equal the tag
-      checks; per-scheme counters partition their access modes; the
-      baseline's energy buckets are recomputed from its counters and
-      must agree with the simulator's account;
-    - {b metamorphic equalities} — retired instructions, fetches and
-      the whole data side are identical across {e all} schemes and
-      layouts (way-placement changes placement, never execution);
-      way-memoization (under round-robin — blind link follows skip LRU
-      touches by design) and way-prediction (any policy) must not
-      change a single hit/miss decision relative to the baseline;
-    - {b probe invariance} — rerunning a cell with a
-      {!Wp_obs.Sampler} attached leaves the statistics bit-identical
-      ({!Wp_sim.Stats.equal}), and the sampler's window sums reproduce
-      them: every mirrored counter exactly, retired instructions and
-      final cycle count exactly, cumulative per-bucket energy
-      bit-for-bit;
-    - {b window identity} — a sampler riding the block-batched fast path
-      (aggregate events, direct counts, stepping only the runs that
-      could cross a window boundary) builds exactly the windows of a
-      sampler attached as a plain probe to the per-instruction reference
-      loop — every field, energy bit for bit — with unchanged statistics,
-      at 1, 7 and 1024-cycle windows, with and without a generated
-      resize schedule (at block 0, two interior blocks and the last),
-      and on a tight-latency variant whose bounds have little slack;
-    - {b fast-path identity} — every cell's run equals a fast-forward
-      run with a shared snapshot cache, a run with fast-forward off and
-      the per-instruction reference loop; and a variant of the cell
-      with another D-cache geometry and D-TLB size, replaying the data
-      side from an outcome log of its own, equals its own reference
-      run;
-    - {b multiprogramming laws} — an infinite-quantum, kernel-free
-      single-process {!Wp_mp.Machine} run, on the fast path and on the
-      reference path alike, is [Stats.equal] to the cell's own
-      [Simulator.run] (the mp identity oracle, every cell of the first
-      geometry); under real time-slicing against a fixed
-      cache-polluting partner, the mp fast path, the mp reference loop
-      and a probed replay agree bit-for-bit per process and in
-      aggregate, per-process counters sum to the aggregate exactly, and
-      the sampler's switch markers recount the machine's switches.
+    - once per program: [lint-original] and [lint-placed] — the
+      well-formedness lint finds no error in either layout;
+    - on every cell: [counters] — conservation: fetches partition into
+      same-line + way-placed + full + link-follows, hits + misses equal
+      the tag checks, per-scheme counters partition their access modes;
+      [fastpath] — the cell's run equals a fast-forward run with a
+      shared snapshot cache, a run with fast-forward off and the
+      per-instruction reference loop, and a variant with another
+      D-cache geometry and D-TLB size, replaying the data side from an
+      outcome log of its own, equals its own reference run;
+      [baseline-energy] — a baseline run's energy buckets, recomputed
+      from its counters, agree with the simulator's account;
+      [oracle] — a baseline run's fetch stream replayed through
+      {!Oracle_cache} matches fetches, same-line elisions, hits, misses
+      and tag comparisons exactly (both replacement policies, elision
+      on and off);
+    - on every cell of the first geometry: [probe] — probe invariance:
+      a rerun with a {!Wp_obs.Sampler} attached leaves the statistics
+      bit-identical, and the window sums reproduce every mirrored
+      counter, retired instructions, the final cycle and cumulative
+      per-bucket energy bit for bit; [windows] — window identity: a
+      sampler riding the block-batched fast path builds exactly the
+      windows of a sampler attached as a plain probe to the reference
+      loop, every field, energy bit for bit, with unchanged statistics,
+      at 1, 7 and 1024-cycle windows, and with a generated resize
+      schedule (block 0, two interior blocks, the last) on
+      way-placement cells; [mp-identity] — an infinite-quantum,
+      kernel-free single-process {!Wp_mp.Machine} run, fast path and
+      reference path alike, is [Stats.equal] to the cell's own run;
+    - on the baseline and wayplace cells of the first geometry:
+      [windows-tight] — window identity on a tight-latency variant
+      whose bounds have little slack; [mp-mix] — under real
+      time-slicing against a fixed cache-polluting partner, the mp fast
+      path, the mp reference loop, a snapshot-cached run and a probed
+      replay agree bit for bit per process and in aggregate,
+      per-process counters sum to the aggregate, and the sampler's
+      switch markers recount the machine's switches;
+    - on every geometry: [cross] — metamorphic equalities: retired
+      instructions, fetches and the whole data side are identical
+      across all schemes and layouts, and way-memoization (under
+      round-robin) and way-prediction change no hit/miss decision
+      relative to the baseline; [soundness] — the static must/may
+      classification agrees with the simulated probe stream on the
+      original layout;
+    - on the first geometry: [soundness-placed] — the same on the
+      placed layout; [contract] — the placement contract holds;
+      [reserved] — the mp kernel image and the placed layout respect
+      the kernel's reserved area; [advise] — the placement advisor's
+      laws ({!Wp_advise.Laws}) hold on the placed layout.
 
-    A failing seed is reproducible from its number alone and is
-    shrunk with {!Progen.minimize} before reporting. *)
+    A failing seed is reproducible from its number alone and is shrunk
+    with {!Progen.minimize} on the first law it broke, running only
+    that law. *)
 
-type violation = string
+type violation = { law : string; message : string }
+(** A broken law: [law] is its table name (or [prepare] / [run] when
+    preparing the program or running a cell raised); [message] names
+    the run it broke on. *)
+
+val pp_violation : Format.formatter -> violation -> unit
+(** [law: message]. *)
 
 type report = {
   seed : int;
+  law : string;  (** the first law the generated program broke *)
   spec : Wp_workloads.Spec.t;
   violations : violation list;  (** on the generated program *)
-  shrunk : Wp_workloads.Spec.t;  (** minimised still-failing spec *)
-  shrunk_violations : violation list;  (** on the minimised program *)
+  shrunk : Wp_workloads.Spec.t;  (** minimised spec still breaking [law] *)
+  shrunk_violations : violation list;  (** of [law], on the minimised program *)
 }
 
 val default_geometries : Wp_cache.Geometry.t list
@@ -72,20 +85,65 @@ val default_geometries : Wp_cache.Geometry.t list
     actually exercised); the first geometry also runs the replacement /
     elision / invalidation ablations. *)
 
+val configs_for :
+  ablations:bool -> Wp_cache.Geometry.t -> (string * Wp_sim.Config.t) list
+(** The labelled cells of one geometry: the five schemes, plus the
+    four ablations when [ablations] (the first geometry). *)
+
+(** {2 The law table} *)
+
+type program
+(** One generated program, prepared once. *)
+
+type grid
+(** One geometry and the results of its cells. *)
+
+type cell
+(** One labelled configuration and its run. *)
+
+type check =
+  | Per_spec of (program -> string list)  (** once per program *)
+  | Per_geometry of (program -> grid -> string list)
+      (** once per geometry, over that geometry's cells *)
+  | Per_cell of (program -> cell -> string list)  (** once per cell *)
+(** A law's scope and its check, which returns the messages of what it
+    found broken. *)
+
+type law = {
+  name : string;
+  applies : first_geometry:bool -> label:string -> bool;
+      (** which geometries and cells the law runs on; geometry laws see
+          [~label:""], spec laws run once regardless *)
+  check : check;
+}
+
+val laws : law list
+(** Every law, in the order {!check_spec} runs them within a scope. *)
+
 val check_spec :
-  ?geometries:Wp_cache.Geometry.t list -> Wp_workloads.Spec.t -> violation list
-(** All violations found for one program; [[]] means every invariant
-    held.  Deterministic. *)
+  ?geometries:Wp_cache.Geometry.t list ->
+  ?law:string ->
+  Wp_workloads.Spec.t ->
+  violation list
+(** One fold over {!laws}: spec laws, then per geometry each cell's laws
+    and the geometry's laws.  [[]] means every law held.  With [law],
+    only that law runs, on only the cells it needs ([run] runs every
+    cell and no law).  An exception from a check, from preparing the
+    program or from a cell's run is one violation, [<where>: raised:
+    <exn>].  Deterministic. *)
 
 val check_seed : ?geometries:Wp_cache.Geometry.t list -> int -> violation list
 (** {!check_spec} of {!Progen.spec_of_seed}. *)
 
 val run_seed :
-  ?check:(Wp_workloads.Spec.t -> violation list) -> int -> report option
+  ?check:(?law:string -> Wp_workloads.Spec.t -> violation list) ->
+  int ->
+  report option
 (** One fuzz case: [None] when clean; otherwise the report, with the
-    spec already shrunk to a locally minimal still-failing program.
+    spec shrunk to a locally minimal program that still breaks the
+    first law the seed broke.  While shrinking, only that law runs.
     [check] defaults to {!check_spec} (tests inject artificial
-    invariants to exercise the shrink pipeline). *)
+    laws to exercise the shrink pipeline). *)
 
 val fuzz :
   ?workers:int ->

@@ -90,12 +90,6 @@ let order_of_string s =
     go 0 rest
   end
 
-let save ~path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 let load ~path =
   match open_in path with
   | ic ->

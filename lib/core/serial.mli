@@ -30,8 +30,5 @@ val profile_of_string : string -> (Wp_cfg.Profile.t, string) result
 val order_to_string : Wp_cfg.Basic_block.id array -> string
 val order_of_string : string -> (Wp_cfg.Basic_block.id array, string) result
 
-val save : path:string -> string -> unit
-(** Write a serialised artifact to a file. *)
-
 val load : path:string -> (string, string) result
 (** Read a file ([Error] on I/O failure). *)

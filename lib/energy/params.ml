@@ -31,4 +31,3 @@ let default =
     drowsy_wake_pj = 0.01;
   }
 
-let with_core_rest t v = { t with core_rest_pj_per_cycle = v }

@@ -36,6 +36,3 @@ type t = {
 
 val default : t
 
-val with_core_rest : t -> float -> t
-(** Functional update of [core_rest_pj_per_cycle] (used by the ED
-    sensitivity ablation). *)

@@ -7,7 +7,6 @@ let make ~blocks ~weight =
   if weight < 0 then invalid_arg "Chain.make: negative weight";
   { blocks; weight }
 
-let singleton id ~weight = make ~blocks:[ id ] ~weight
 let length t = List.length t.blocks
 
 let first t =

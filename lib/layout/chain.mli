@@ -14,7 +14,6 @@ type t = {
 val make : blocks:Wp_cfg.Basic_block.id list -> weight:int -> t
 (** @raise Invalid_argument on an empty block list or negative weight. *)
 
-val singleton : Wp_cfg.Basic_block.id -> weight:int -> t
 val length : t -> int
 val first : t -> Wp_cfg.Basic_block.id
 val compare_by_weight : t -> t -> int

@@ -54,33 +54,3 @@ let fetch_kind_name = function
   | Full -> "full"
   | Link_follow -> "link_follow"
 
-let pp_event ppf = function
-  | Fetch k -> Format.fprintf ppf "Fetch %s" (fetch_kind_name k)
-  | Fetches { kind; n } ->
-      Format.fprintf ppf "Fetches %s x%d" (fetch_kind_name kind) n
-  | Icache_access { hit } -> Format.fprintf ppf "Icache_access hit=%b" hit
-  | L0_access { hit } -> Format.fprintf ppf "L0_access hit=%b" hit
-  | Tag_comparisons n -> Format.fprintf ppf "Tag_comparisons %d" n
-  | Tag_search { ways } -> Format.fprintf ppf "Tag_search ways=%d" ways
-  | Line_fill { evicted } -> Format.fprintf ppf "Line_fill evicted=%b" evicted
-  | Hint Correct_wp -> Format.pp_print_string ppf "Hint correct_wp"
-  | Hint Correct_normal -> Format.pp_print_string ppf "Hint correct_normal"
-  | Hint Missed_saving -> Format.pp_print_string ppf "Hint missed_saving"
-  | Hint Reaccess -> Format.pp_print_string ppf "Hint reaccess"
-  | Way_prediction { correct } ->
-      Format.fprintf ppf "Way_prediction correct=%b" correct
-  | Link_write -> Format.pp_print_string ppf "Link_write"
-  | Links_invalidated n -> Format.fprintf ppf "Links_invalidated %d" n
-  | Drowsy_wake -> Format.pp_print_string ppf "Drowsy_wake"
-  | Itlb_miss -> Format.pp_print_string ppf "Itlb_miss"
-  | Dtlb_miss -> Format.pp_print_string ppf "Dtlb_miss"
-  | Dcache_access { miss } -> Format.fprintf ppf "Dcache_access miss=%b" miss
-  | Energy { bucket; pj } ->
-      Format.fprintf ppf "Energy %s %.3fpJ" (bucket_name bucket) pj
-  | Energy_run { bucket; pj; n } ->
-      Format.fprintf ppf "Energy_run %s %.3fpJ x%d" (bucket_name bucket) pj n
-  | Retire { cycles; instrs } ->
-      Format.fprintf ppf "Retire cycles=%d instrs=%d" cycles instrs
-  | Resize { area_bytes } -> Format.fprintf ppf "Resize %dB" area_bytes
-  | Flush -> Format.pp_print_string ppf "Flush"
-  | Context_switch { next } -> Format.fprintf ppf "Context_switch next=%d" next

@@ -86,4 +86,3 @@ val bucket_name : bucket -> string
 
 val fetch_kind_name : fetch_kind -> string
 
-val pp_event : Format.formatter -> event -> unit

@@ -153,10 +153,3 @@ let counters t =
   Mutex.unlock t.lock;
   c
 
-let reset_counters t =
-  Mutex.lock t.lock;
-  t.lookups <- 0;
-  t.hits <- 0;
-  t.inserts <- 0;
-  t.evictions <- 0;
-  Mutex.unlock t.lock

@@ -24,7 +24,7 @@
     table; on a hit the stored scope, pattern and fingerprint are all
     compared outright (the fingerprint word-for-word), so even a hash
     collision cannot break bit-identity.  The three-way fast-forward check
-    ([Check.Differ.check_fastpath], [--check-fastforward]) runs with
+    ([Check.Differ]'s [fastpath] law, [--check-fastforward]) runs with
     the cache attached and still demands exact {!Stats.equal}.
 
     The cache is bounded (LRU eviction) and thread-safe: one instance
@@ -84,4 +84,3 @@ val add : t -> key:key -> entry -> unit
     callers must pass freshly copied arrays. *)
 
 val counters : t -> counters
-val reset_counters : t -> unit

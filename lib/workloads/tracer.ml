@@ -2,7 +2,6 @@ open Wp_cfg
 
 type input = Small | Large
 
-let input_to_string = function Small -> "small" | Large -> "large"
 
 type trace = { blocks : int array; dynamic_instrs : int; restarts : int }
 

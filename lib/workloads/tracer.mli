@@ -14,8 +14,6 @@
 
 type input = Small | Large
 
-val input_to_string : input -> string
-
 type trace = {
   blocks : int array;  (** executed block ids, in order *)
   dynamic_instrs : int;

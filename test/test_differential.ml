@@ -191,13 +191,20 @@ let test_minimize_contract () =
 
 (* --- the differential runner --- *)
 
+let texts = List.map (Format.asprintf "%a" Differ.pp_violation)
+
+(* An injected law that breaks once a program has [min_funcs]
+   functions. *)
+let fault law ~min_funcs s =
+  if s.Spec.num_funcs >= min_funcs then
+    [ { Differ.law; message = "too many functions" } ]
+  else []
+
 let test_run_seed_with_injected_check () =
   (* A fabricated violation exercises the whole report pipeline without
      a real simulator bug: run_seed must reproduce it, shrink the spec,
      and carry the violations of both programs. *)
-  let check s =
-    if s.Spec.num_funcs >= 2 then [ "too many functions" ] else []
-  in
+  let check ?law:_ s = fault "functions" ~min_funcs:2 s in
   let seed =
     (* first seed whose generated program trips the injected check *)
     let rec find seed =
@@ -209,12 +216,14 @@ let test_run_seed_with_injected_check () =
   | None -> Alcotest.fail "injected violation not reported"
   | Some r ->
       Alcotest.(check int) "seed recorded" seed r.Differ.seed;
+      Alcotest.(check string) "law recorded" "functions" r.Differ.law;
       Alcotest.(check (list string)) "violations carried"
-        [ "too many functions" ] r.Differ.violations;
+        [ "functions: too many functions" ] (texts r.Differ.violations);
       Alcotest.(check int) "shrunk to the boundary" 2
         r.Differ.shrunk.Spec.num_funcs;
       Alcotest.(check (list string)) "shrunk program still fails"
-        [ "too many functions" ] r.Differ.shrunk_violations;
+        [ "functions: too many functions" ]
+        (texts r.Differ.shrunk_violations);
       (* the report is printable (the repro the user sees) *)
       let text = Format.asprintf "%a" Differ.pp_report r in
       Alcotest.(check bool) "report names the seed" true
@@ -228,14 +237,125 @@ let test_run_seed_with_injected_check () =
 
 let test_run_seed_clean_is_none () =
   Alcotest.(check bool) "clean seed reports nothing" true
-    (Differ.run_seed ~check:(fun _ -> []) 0 = None)
+    (Differ.run_seed ~check:(fun ?law:_ _ -> []) 0 = None)
+
+(* Two injected laws, both broken by the seed: the shrinker keeps the
+   first one the seed broke and accepts only candidates that still
+   break it, so the reproducer stops at that law's boundary even when
+   the other law still fails on smaller programs. *)
+let test_shrink_stays_on_first_law () =
+  let seed =
+    let rec find seed =
+      if (Progen.spec_of_seed seed).Spec.num_funcs >= 6 then seed
+      else find (seed + 1)
+    in
+    find 0
+  in
+  List.iter
+    (fun (order, law, boundary) ->
+      let check ?law:_ s =
+        List.concat_map
+          (fun l ->
+            fault l ~min_funcs:(if l = "A" then 2 else 4) s)
+          order
+      in
+      match Differ.run_seed ~check seed with
+      | None -> Alcotest.fail "injected violations not reported"
+      | Some r ->
+          Alcotest.(check string) "first law kept" law r.Differ.law;
+          Alcotest.(check int) "shrunk to that law's boundary" boundary
+            r.Differ.shrunk.Spec.num_funcs;
+          Alcotest.(check (list string)) "shrunk violations are that law's"
+            [ law ^ ": too many functions" ]
+            (texts r.Differ.shrunk_violations))
+    [ ([ "A"; "B" ], "A", 2); ([ "B"; "A" ], "B", 4) ]
+
+(* A program that cannot be prepared breaks the law [prepare], whichever
+   law was asked for, and the fold reports the exception instead of
+   raising it. *)
+let test_prepare_failure_is_a_violation () =
+  let bad = { (Progen.spec_of_seed 0) with Spec.num_funcs = 0 } in
+  List.iter
+    (fun law ->
+      match Differ.check_spec ?law bad with
+      | [ { Differ.law = "prepare"; message } ] ->
+          Alcotest.(check bool) "names the program and the exception" true
+            (String.starts_with
+               ~prefix:(bad.Spec.name ^ ": raised: Invalid_argument")
+               message)
+      | vs ->
+          Alcotest.failf "expected one prepare violation, got: %s"
+            (String.concat "; " (texts vs)))
+    [ None; Some "counters" ]
+
+(* The gating of every law over the default grid, pinned: which laws
+   run once per program, and on which geometries and cells the others
+   run.  Entries are [law], [law@geometry] and [law@geometry/label]. *)
+let test_law_gating () =
+  let actual =
+    List.concat_map
+      (fun (l : Differ.law) ->
+        List.concat
+          (List.mapi
+             (fun i g ->
+               let first_geometry = i = 0 in
+               match l.Differ.check with
+               | Differ.Per_spec _ -> if first_geometry then [ l.Differ.name ] else []
+               | Differ.Per_geometry _ ->
+                   if l.Differ.applies ~first_geometry ~label:"" then
+                     [ Printf.sprintf "%s@%d" l.Differ.name i ]
+                   else []
+               | Differ.Per_cell _ ->
+                   List.filter_map
+                     (fun (label, _) ->
+                       if l.Differ.applies ~first_geometry ~label then
+                         Some (Printf.sprintf "%s@%d/%s" l.Differ.name i label)
+                       else None)
+                     (Differ.configs_for ~ablations:first_geometry g))
+             Differ.default_geometries))
+      Differ.laws
+  in
+  let plain = [ "baseline"; "wayplace"; "waymemo"; "waypred"; "filter" ] in
+  let first =
+    plain
+    @ [ "baseline-lru"; "waypred-lru"; "baseline-noelide"; "waymemo-precise" ]
+  in
+  let on_cells laws cells =
+    List.concat_map
+      (fun law ->
+        List.concat_map
+          (fun (i, labels) ->
+            List.map (Printf.sprintf "%s@%d/%s" law i) labels)
+          cells)
+      laws
+  in
+  let on_geometries laws geometries =
+    List.concat_map
+      (fun law -> List.map (Printf.sprintf "%s@%d" law) geometries)
+      laws
+  in
+  let expected =
+    [ "lint-original"; "lint-placed" ]
+    @ on_cells
+        [ "counters"; "fastpath"; "baseline-energy"; "oracle" ]
+        [ (0, first); (1, plain) ]
+    @ on_cells [ "probe"; "windows"; "mp-identity" ] [ (0, first) ]
+    @ on_cells [ "windows-tight"; "mp-mix" ] [ (0, [ "baseline"; "wayplace" ]) ]
+    @ on_geometries [ "cross"; "soundness" ] [ 0; 1 ]
+    @ on_geometries
+        [ "soundness-placed"; "contract"; "reserved"; "advise" ]
+        [ 0 ]
+  in
+  Alcotest.(check (list string)) "gating"
+    (List.sort compare expected) (List.sort compare actual)
 
 let test_check_seed_deterministic () =
   List.iter
     (fun seed ->
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d stable" seed)
-        (Differ.check_seed seed) (Differ.check_seed seed))
+        (texts (Differ.check_seed seed))
+        (texts (Differ.check_seed seed)))
     [ 0; 1; 2 ]
 
 (* The headline: >= 200 generated programs, every scheme, every
@@ -317,6 +437,12 @@ let () =
             `Quick test_fuzz_clean;
           Alcotest.test_case "parallel = sequential" `Quick
             test_fuzz_parallel_matches_sequential;
+          Alcotest.test_case "shrinker stays on the first law" `Quick
+            test_shrink_stays_on_first_law;
+          Alcotest.test_case "law gating over the default grid" `Quick
+            test_law_gating;
+          Alcotest.test_case "a prepare failure is a violation" `Quick
+            test_prepare_failure_is_a_violation;
         ] );
       ( "stats",
         [

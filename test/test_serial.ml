@@ -70,7 +70,12 @@ let test_file_roundtrip () =
     (fun () ->
       let p = Profile.create ~num_blocks:3 in
       Profile.record_block_n p 1 9;
-      Serial.save ~path (Serial.profile_to_string p);
+      (match
+         Wayplace.Sim.Report.write_file ~path (fun oc ->
+             output_string oc (Serial.profile_to_string p))
+       with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg);
       match Serial.load ~path with
       | Error msg -> Alcotest.fail msg
       | Ok contents -> begin
